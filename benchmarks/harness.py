@@ -103,6 +103,29 @@ class Scenario:
     memory_budget_mib: Optional[float] = None
 
 
+def _adapter_session(
+    protocol: str,
+    overlay: Any,
+    seed: int,
+    engine: str,
+    shards: Optional[int] = None,
+    **options: Any,
+) -> Any:
+    """``(adapter, session)`` for ``protocol`` under constant 0.1 latency."""
+    from repro.network import NetworkConditions
+    from repro.protocols import create_protocol
+
+    adapter = create_protocol(protocol, **options)
+    session = adapter.build(
+        overlay,
+        conditions=NetworkConditions.ideal(),
+        seed=seed,
+        engine=engine,
+        shards=shards,
+    )
+    return adapter, session
+
+
 def flood_scenario(
     name: str,
     size: int,
@@ -128,10 +151,9 @@ def flood_scenario(
         return random_regular_overlay(size, degree=degree, seed=overlay_seed)
 
     def run(overlay: Any) -> int:
-        from repro.broadcast.flood import run_flood
-
-        result = run_flood(overlay, source=0, seed=run_seed, engine=engine)
-        return len(result.simulator.store)
+        flood, session = _adapter_session("flood", overlay, run_seed, engine)
+        flood.broadcast(session, 0, "tx")
+        return len(session.simulator.store)
 
     return Scenario(
         name=name,
@@ -158,7 +180,7 @@ def flood_runphase_scenario(
 ) -> Scenario:
     """Pure run-phase flood tier: session construction is untimed.
 
-    The plain flood tiers time ``run_flood`` end to end, simulator
+    The plain flood tiers time a whole adapter broadcast, simulator
     construction included.  At 250k+ nodes allocating the node objects
     costs as much as delivering to them and would hide the engines'
     actual throughput difference, so these tiers build the session in the
@@ -173,18 +195,10 @@ def flood_runphase_scenario(
         return random_regular_overlay(size, degree=degree, seed=overlay_seed)
 
     def prepare(overlay: Any) -> Any:
-        from repro.broadcast.flood import FloodNode
-        from repro.network.latency import ConstantLatency
-        from repro.network.simulator import Simulator
-
-        sim = Simulator(
-            overlay,
-            latency=ConstantLatency(0.1),
-            seed=run_seed,
-            engine=engine,
-            shards=shards,
+        _, session = _adapter_session(
+            "flood", overlay, run_seed, engine, shards=shards
         )
-        sim.populate(FloodNode)
+        sim = session.simulator
         sim.node(0).originate("tx")
         return sim
 
@@ -230,16 +244,14 @@ def gossip_scenario(
         return random_regular_overlay(size, degree=degree, seed=overlay_seed)
 
     def run(overlay: Any) -> int:
-        from repro.broadcast.gossip import GossipConfig, run_gossip
+        from repro.broadcast.gossip import GossipConfig
 
-        result = run_gossip(
-            overlay,
-            source=0,
+        gossip, session = _adapter_session(
+            "gossip", overlay, run_seed, engine,
             config=GossipConfig(fanout=fanout),
-            seed=run_seed,
-            engine=engine,
         )
-        return len(result.simulator.store)
+        gossip.broadcast(session, 0, "tx")
+        return len(session.simulator.store)
 
     return Scenario(
         name=name,

@@ -8,18 +8,15 @@ each phase of the combined protocol is responsible for.
 """
 
 from repro.analysis.reporting import format_table
-from repro.broadcast.dandelion import run_dandelion
-from repro.broadcast.flood import run_flood
 from repro.core.config import ProtocolConfig
 from repro.core.orchestrator import ThreePhaseBroadcast
 from repro.core.phases import Phase
-from repro.diffusion.adaptive import run_adaptive_diffusion
 
 
-def _measure(overlay_200):
-    flood = run_flood(overlay_200, source=0, seed=1)
-    dandelion = run_dandelion(overlay_200, source=0, seed=1)
-    diffusion = run_adaptive_diffusion(overlay_200, source=0, seed=1)
+def _measure(overlay_200, broadcast_once):
+    flood, _ = broadcast_once(overlay_200, "flood", seed=1)
+    dandelion, _ = broadcast_once(overlay_200, "dandelion", seed=1)
+    diffusion, _ = broadcast_once(overlay_200, "adaptive_diffusion", seed=1)
     protocol = ThreePhaseBroadcast(
         overlay_200, ProtocolConfig(group_size=5, diffusion_depth=3), seed=1
     )
@@ -27,9 +24,9 @@ def _measure(overlay_200):
     return flood, dandelion, diffusion, combined
 
 
-def test_e10_latency_tradeoff(benchmark, overlay_200):
+def test_e10_latency_tradeoff(benchmark, overlay_200, broadcast_once):
     flood, dandelion, diffusion, combined = benchmark.pedantic(
-        _measure, args=(overlay_200,), iterations=1, rounds=1
+        _measure, args=(overlay_200, broadcast_once), iterations=1, rounds=1
     )
     rows = [
         ["flood-and-prune", flood.completion_time, flood.messages],

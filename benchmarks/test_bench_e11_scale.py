@@ -24,7 +24,6 @@ import pytest
 from repro.analysis.parallel import run_parallel
 from repro.analysis.reporting import format_table
 from repro.analysis.sweep import sweep
-from repro.broadcast.flood import run_flood
 from repro.network.topology import random_regular_overlay
 
 SIZES = [2000, 5000]
@@ -32,27 +31,32 @@ REPETITIONS = 2
 BASE_SEED = 7
 
 
-def _flood_at_scale(size, seed):
-    """One flood broadcast on a ``size``-node Bitcoin-like overlay."""
-    overlay = random_regular_overlay(int(size), degree=8, seed=seed)
-    result = run_flood(overlay, source=0, seed=seed)
-    assert result.reach == overlay.number_of_nodes()
-    return {
-        "messages": float(result.messages),
-        "completion_time": float(result.completion_time),
-    }
+def _flood_at_scale(broadcast_once):
+    """Sweep runner: one flood on a ``size``-node Bitcoin-like overlay."""
+
+    def run(size, seed):
+        overlay = random_regular_overlay(int(size), degree=8, seed=seed)
+        result, _ = broadcast_once(overlay, "flood", seed=seed)
+        assert result.reach == overlay.number_of_nodes()
+        return {
+            "messages": float(result.messages),
+            "completion_time": float(result.completion_time),
+        }
+
+    return run
 
 
-def test_e11_parallel_sweep_at_scale(benchmark):
+def test_e11_parallel_sweep_at_scale(benchmark, broadcast_once):
+    runner = _flood_at_scale(broadcast_once)
     parallel = benchmark.pedantic(
         run_parallel,
-        args=(SIZES, _flood_at_scale),
+        args=(SIZES, runner),
         kwargs={"repetitions": REPETITIONS, "base_seed": BASE_SEED},
         iterations=1,
         rounds=1,
     )
     serial = sweep(
-        SIZES, _flood_at_scale, repetitions=REPETITIONS, base_seed=BASE_SEED
+        SIZES, runner, repetitions=REPETITIONS, base_seed=BASE_SEED
     )
     # The engine's core contract: scaling out changes nothing but wall-clock.
     assert parallel == serial
@@ -74,9 +78,8 @@ def test_e11_parallel_sweep_at_scale(benchmark):
         assert 0.9 * (7 * size) <= row["messages"] <= 2 * 4 * size
 
 
-def test_e11_indexed_queries_at_scale(overlay_2000):
-    result = run_flood(overlay_2000, source=0, seed=0)
-    simulator = result.simulator
+def test_e11_indexed_queries_at_scale(overlay_2000, broadcast_once):
+    _, simulator = broadcast_once(overlay_2000, "flood", seed=0)
     metrics = simulator.metrics
     # The naive oracles below genuinely scan the whole log — the exact use
     # case of the lazy ``iter_observations()`` view (no full-list copy per

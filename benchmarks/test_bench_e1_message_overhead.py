@@ -9,30 +9,33 @@ messages plus token/spread control traffic, stopping at full coverage).
 
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import summarize
-from repro.broadcast.flood import run_flood
-from repro.diffusion.adaptive import run_adaptive_diffusion
 
 REPETITIONS = 3
 
 
-def _measure(overlay_1000):
+def _measure(overlay_1000, broadcast_once):
     flood_counts = []
     diffusion_counts = []
     diffusion_payload = []
     for seed in range(REPETITIONS):
-        flood_counts.append(
-            float(run_flood(overlay_1000, source=seed, seed=seed).messages)
+        flood, _ = broadcast_once(
+            overlay_1000, "flood", source=seed, seed=seed
         )
-        result = run_adaptive_diffusion(overlay_1000, source=seed, seed=seed)
+        flood_counts.append(float(flood.messages))
+        result, simulator = broadcast_once(
+            overlay_1000, "adaptive_diffusion", source=seed, seed=seed
+        )
         assert result.reach == overlay_1000.number_of_nodes()
         diffusion_counts.append(float(result.messages))
-        diffusion_payload.append(float(result.payload_messages))
+        diffusion_payload.append(
+            float(simulator.metrics.message_count(kind="ad_payload"))
+        )
     return flood_counts, diffusion_counts, diffusion_payload
 
 
-def test_e1_message_overhead(benchmark, overlay_1000):
+def test_e1_message_overhead(benchmark, overlay_1000, broadcast_once):
     flood, diffusion, diffusion_payload = benchmark.pedantic(
-        _measure, args=(overlay_1000,), iterations=1, rounds=1
+        _measure, args=(overlay_1000, broadcast_once), iterations=1, rounds=1
     )
     flood_mean = summarize(flood).mean
     diffusion_mean = summarize(diffusion).mean

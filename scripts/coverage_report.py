@@ -9,11 +9,10 @@ prints the table, and fails when any package sinks below its floor:
         --cov=repro --cov-report=json:coverage.json
     python scripts/coverage_report.py coverage.json
 
-Two packages carry elevated floors: ``repro/dcnet`` (the DC-net rounds
-and the blame protocol — the paper's phase 1 and its countermeasure) and
-``repro/blockchain`` (the payload layer the broadcasts exist to carry).
-Those are the subsystems where an untested branch is a correctness risk
-for the reproduction itself, so their floors flag regressions loudly.
+One package carries an elevated floor: ``repro/dcnet`` (the DC-net rounds
+and the blame protocol — the paper's phase 1 and its countermeasure).
+That is the subsystem where an untested branch is a correctness risk for
+the reproduction itself, so its floor flags regressions loudly.
 
 The script only needs the standard library plus ``repro``'s table
 formatter; the coverage measurement itself happens wherever pytest-cov is
@@ -39,7 +38,6 @@ DEFAULT_FLOOR = 60.0
 #: Paper-critical packages watched with elevated floors.
 CRITICAL_FLOORS: Dict[str, float] = {
     "dcnet": 85.0,
-    "blockchain": 85.0,
 }
 
 

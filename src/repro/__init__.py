@@ -6,7 +6,7 @@ The package implements the paper's three-phase privacy-preserving broadcast
 it depends on: a discrete-event network simulator, overlay topologies, a
 DC-network with announcements / collisions / blame, adaptive diffusion,
 Dandelion and flooding baselines, group management, adversary models and
-privacy metrics, plus a small blockchain substrate used by the examples.
+privacy metrics.
 
 Quickstart::
 

@@ -18,13 +18,6 @@ anonymity-set and top-k metrics and the multi-round intersection attack
 (:mod:`repro.privacy.intersection`) links across broadcasts that share a
 sender.  The measurement is read-only — detection numbers stay seed-for-seed
 identical with privacy on or off.
-
-:func:`attack_experiment` remains as the legacy entry point.  It is a thin
-shim over the registry that reproduces the historical per-protocol defaults
-seed-for-seed: the three-phase protocol on constant 0.1 latency, the
-baselines on per-edge 50–300 ms latency, everything lossless.  New code
-should call :func:`run_attack_experiment` with explicit conditions so all
-protocols face the same environment.
 """
 
 from __future__ import annotations
@@ -49,10 +42,7 @@ from repro.adversary.botnet import deploy_botnet
 from repro.adversary.collusion import DcNetCollusionEstimator
 from repro.adversary.first_spy import FirstSpyEstimator
 from repro.adversary.rumor_centrality import RumorCentralityEstimator
-from repro.broadcast.dandelion import DandelionConfig
-from repro.core.config import ProtocolConfig
 from repro.network.conditions import NetworkConditions
-from repro.network.latency import ConstantLatency
 from repro.network.simulator import Simulator
 from repro.privacy.detection import DetectionStats, evaluate_attack
 from repro.privacy.intersection import IntersectionAttack
@@ -417,57 +407,3 @@ def run_attack_experiment(
                 engine_effective=engine_effective,
             )
 
-
-def attack_experiment(
-    graph: nx.Graph,
-    protocol: str,
-    adversary_fraction: float,
-    broadcasts: int = 20,
-    seed: int = 0,
-    config: Optional[ProtocolConfig] = None,
-    dandelion_config: Optional[DandelionConfig] = None,
-) -> ExperimentResult:
-    """Legacy first-spy experiment entry point (compatibility shim).
-
-    Thin wrapper over :func:`run_attack_experiment` that reproduces the
-    historical per-protocol environments seed-for-seed: ``"three_phase"``
-    runs on constant 0.1 latency, ``"flood"`` and ``"dandelion"`` on stable
-    per-edge 50–300 ms latency, all lossless with the first-spy estimator.
-    Any other registered protocol name runs under the default conditions.
-
-    Args:
-        graph: the overlay to simulate on.
-        protocol: a registered protocol name.
-        adversary_fraction: fraction of nodes the adversary controls.
-        broadcasts: number of transactions to broadcast and attack.
-        seed: master seed of the experiment.
-        config: three-phase protocol configuration (protocol "three_phase").
-        dandelion_config: Dandelion configuration (protocol "dandelion").
-
-    Returns:
-        The aggregated :class:`ExperimentResult`.
-
-    Raises:
-        ValueError: for an unknown protocol name.
-    """
-    conditions: Optional[NetworkConditions]
-    if protocol == "three_phase":
-        proto: BroadcastProtocol = create_protocol("three_phase", config=config)
-        conditions = NetworkConditions(latency=ConstantLatency(0.1))
-    elif protocol == "dandelion":
-        proto = create_protocol("dandelion", config=dandelion_config)
-        conditions = NetworkConditions()
-    elif protocol == "flood":
-        proto = create_protocol("flood")
-        conditions = NetworkConditions()
-    else:
-        proto = create_protocol(protocol)
-        conditions = None
-    return run_attack_experiment(
-        graph,
-        proto,
-        adversary_fraction,
-        broadcasts=broadcasts,
-        seed=seed,
-        conditions=conditions,
-    )

@@ -11,17 +11,14 @@ These are the comparison points of the paper's evaluation:
   fluff phase using plain flooding.
 """
 
-from repro.broadcast.dandelion import DandelionConfig, DandelionNode, run_dandelion
-from repro.broadcast.flood import FloodNode, run_flood
-from repro.broadcast.gossip import GossipConfig, GossipNode, run_gossip
+from repro.broadcast.dandelion import DandelionConfig, DandelionNode
+from repro.broadcast.flood import FloodNode
+from repro.broadcast.gossip import GossipConfig, GossipNode
 
 __all__ = [
     "DandelionConfig",
     "DandelionNode",
-    "run_dandelion",
     "FloodNode",
-    "run_flood",
     "GossipConfig",
     "GossipNode",
-    "run_gossip",
 ]

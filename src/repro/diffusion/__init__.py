@@ -13,15 +13,13 @@ This package provides
   probability ``alpha`` for d-regular trees (and its general-graph use),
 * :mod:`repro.diffusion.spreading` — per-node infection bookkeeping used to
   drive spread waves through the infection tree on arbitrary graphs,
-* :mod:`repro.diffusion.adaptive` — the event-driven protocol node and the
-  convenience runner used by the paper's message-overhead experiment (E1).
+* :mod:`repro.diffusion.adaptive` — the event-driven protocol node (run
+  standalone through the ``adaptive_diffusion`` registry adapter).
 """
 
 from repro.diffusion.adaptive import (
     AdaptiveDiffusionConfig,
     AdaptiveDiffusionNode,
-    DiffusionRunResult,
-    run_adaptive_diffusion,
 )
 from repro.diffusion.spreading import InfectionState
 from repro.diffusion.virtual_source import (
@@ -33,8 +31,6 @@ from repro.diffusion.virtual_source import (
 __all__ = [
     "AdaptiveDiffusionConfig",
     "AdaptiveDiffusionNode",
-    "DiffusionRunResult",
-    "run_adaptive_diffusion",
     "InfectionState",
     "VirtualSourceToken",
     "keep_probability",

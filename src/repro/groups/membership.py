@@ -14,8 +14,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional
 
-_group_counter = itertools.count()
-
 
 @dataclass
 class Group:
@@ -68,6 +66,9 @@ class GroupManager:
         self.rng = rng or random.Random()
         self._groups: Dict[int, Group] = {}
         self._membership: Dict[Hashable, int] = {}
+        # Per-manager ids: increasing in creation order (the tie-break of
+        # ``_smallest_group``) and independent of other managers.
+        self._group_ids = itertools.count()
 
     # ------------------------------------------------------------------
     # Queries
@@ -150,7 +151,7 @@ class GroupManager:
     # ------------------------------------------------------------------
     def _create_group(self, members: List[Hashable]) -> Group:
         group = Group(
-            group_id=next(_group_counter), members=members, min_size=self.min_size
+            group_id=next(self._group_ids), members=members, min_size=self.min_size
         )
         self._groups[group.group_id] = group
         for member in group.members:

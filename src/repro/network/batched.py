@@ -617,17 +617,9 @@ def _step_single(simulator) -> int:
     _, _, item = simulator._queue.pop_entry()
     if item.__class__ is tuple:
         receiver, sender, message, direct = item
-        offline = simulator._offline
-        if offline and receiver in offline:
-            simulator._churn_dropped += 1
-            return 1
-        severed = simulator._severed
         if (
-            severed
-            and not direct
-            and frozenset((sender, receiver)) in severed
-        ):
-            simulator._churn_dropped += 1
+            simulator._offline or simulator._severed
+        ) and simulator._drop_in_flight(receiver, sender, direct):
             return 1
         simulator._record(
             Observation(simulator._now, receiver, sender, message, direct)
@@ -658,11 +650,9 @@ def _drain_block(simulator, kernel, entry) -> int:
         executed += 1
         receiver = ids[r]
         sender = ids[s]
-        if offline and receiver in offline:
-            simulator._churn_dropped += 1
-            continue
-        if severed and frozenset((sender, receiver)) in severed:
-            simulator._churn_dropped += 1
+        if (offline or severed) and simulator._drop_in_flight(
+            receiver, sender, False
+        ):
             continue
         record(Observation(time, receiver, sender, message, False))
         nodes[receiver].on_message(sender, message)

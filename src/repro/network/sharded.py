@@ -68,7 +68,7 @@ import os
 import random
 import sys
 import traceback
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional
 
 import numpy as np
 
@@ -162,6 +162,10 @@ def try_run_sharded(simulator, kernel, until, max_events) -> Optional[float]:
         return _decline(simulator, "non-linux platform")
     if "fork" not in multiprocessing.get_all_start_methods():
         return _decline(simulator, "fork start method unavailable")
+    if multiprocessing.current_process().daemon:
+        # e.g. a ScenarioRunner repetition worker: daemonic processes may
+        # not have children, so shard workers cannot be forked here.
+        return _decline(simulator, "inside a daemonic process")
     if until is not None:
         return _decline(simulator, "bounded run (until set)")
     if not kernel.rng_free or kernel.shard_fanout != "exclude_sender":
@@ -264,12 +268,9 @@ def _run_windows(
     groups: Dict[tuple, List[List]] = {}
     for time, seq, item in entries:
         receiver, sender, message, _direct = item
-        if offline and receiver in offline:
-            simulator._churn_dropped += 1
-            drops_at[time] = drops_at.get(time, 0) + 1
-            continue
-        if severed and frozenset((sender, receiver)) in severed:
-            simulator._churn_dropped += 1
+        if (offline or severed) and simulator._drop_in_flight(
+            receiver, sender, False
+        ):
             drops_at[time] = drops_at.get(time, 0) + 1
             continue
         initial_raw.setdefault(time, []).append((time, item))

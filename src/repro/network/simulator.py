@@ -611,38 +611,53 @@ class Simulator:
         telemetry.sample_rss()
         return end
 
+    def _drop_in_flight(
+        self, receiver: Hashable, sender: Hashable, direct: bool
+    ) -> bool:
+        """Apply the in-flight drop rule to one delivery.
+
+        A transmission whose receiver went offline, or whose overlay link
+        was severed (direct sends have no link), dies on the wire: it is
+        counted in :attr:`churn_dropped` and never observed.  Every engine
+        calls this only while some node is offline or some link severed,
+        so churn-free runs pay one falsy test per delivery and nothing
+        more.  Returns whether the delivery was dropped.
+        """
+        if receiver in self._offline or (
+            not direct and frozenset((sender, receiver)) in self._severed
+        ):
+            self._churn_dropped += 1
+            return True
+        return False
+
     def _run_impl(
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> float:
         """Engine dispatch + the per-message event loop (see :meth:`run`)."""
-        if self._engine == "batched":
+        if self._engine != "event":
             kernel = self._resolve_kernel()
-            if kernel is not None:
+            if kernel is None:
+                self._engine_effective = "event"
+                self._note_fallback(
+                    "no cohort kernel (mixed or non-cohort node types)"
+                )
+            else:
                 from repro.network.batched import run_batched
 
-                self._engine_effective = "batched"
-                return run_batched(self, kernel, until, max_events)
-            self._engine_effective = "event"
-            self._note_fallback("no cohort kernel (mixed or non-cohort node types)")
-        elif self._engine == "sharded":
-            kernel = self._resolve_kernel()
-            if kernel is not None:
-                from repro.network.batched import run_batched
-                from repro.network.sharded import try_run_sharded
+                if self._engine == "sharded":
+                    from repro.network.sharded import try_run_sharded
 
-                end = try_run_sharded(self, kernel, until, max_events)
-                if end is not None:
-                    self._engine_effective = "sharded"
-                    return end
-                # Configuration not splittable (randomness, timers, ...):
-                # same cohorts, one process — still seed-for-seed identical.
-                # try_run_sharded recorded the ineligibility reason.
+                    end = try_run_sharded(self, kernel, until, max_events)
+                    if end is not None:
+                        self._engine_effective = "sharded"
+                        return end
+                    # Not splittable (randomness, timers, ...): same
+                    # cohorts in one process, still seed-for-seed
+                    # identical; try_run_sharded recorded the reason.
                 self._engine_effective = "batched"
                 return run_batched(self, kernel, until, max_events)
-            self._engine_effective = "event"
-            self._note_fallback("no cohort kernel (mixed or non-cohort node types)")
         self._start_nodes()
         executed = 0
         event_cap = float("inf") if max_events is None else max_events
@@ -651,6 +666,7 @@ class Simulator:
         pop_item_until = queue.pop_item_until
         nodes = self._nodes
         record = self._record
+        drop_in_flight = self._drop_in_flight
         # The offline/severed sets are mutated in place (never rebound), so
         # these locals stay current; while empty — the common case — each
         # delivery pays only one falsy check per set for churn support.
@@ -673,20 +689,9 @@ class Simulator:
                 self._now = time
             if item.__class__ is tuple:
                 receiver, sender, message, direct = item
-                if offline and receiver in offline:
-                    # In flight when the receiver went down: dropped, never
-                    # observed — a crashed node records nothing.
-                    self._churn_dropped += 1
-                    executed += 1
-                    continue
-                if (
-                    severed
-                    and not direct
-                    and frozenset((sender, receiver)) in severed
+                if (offline or severed) and drop_in_flight(
+                    receiver, sender, direct
                 ):
-                    # In flight when the link went down: the transmission
-                    # dies on the wire, exactly like node churn.
-                    self._churn_dropped += 1
                     executed += 1
                     continue
                 record(

@@ -10,9 +10,8 @@ loop:
 * ``dandelion`` — additionally draws the epoch's stem successors from the
   session RNG (before any other session randomness, preserving the historic
   draw order);
-* ``adaptive_diffusion`` — drives the unbounded diffusion with the same
-  polling loop as :func:`repro.diffusion.adaptive.run_adaptive_diffusion`,
-  bounded by ``max_time``;
+* ``adaptive_diffusion`` — drives the unbounded diffusion in round-interval
+  steps until every node is reached, bounded by ``max_time``;
 * ``three_phase`` — wraps a long-lived
   :class:`~repro.core.orchestrator.ThreePhaseBroadcast` session
   (``shared_session = True``: the group directory is drawn once and reused

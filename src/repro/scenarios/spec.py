@@ -19,7 +19,7 @@ enumerates and executes them.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import networkx as nx
@@ -56,6 +56,20 @@ TOPOLOGY_FAMILIES = {
     "complete": complete_overlay,
     "bitcoin_like": bitcoin_like_overlay,
 }
+
+
+def _check_keys(
+    spec_class: type, section: str, data: Mapping[str, Any]
+) -> Mapping[str, Any]:
+    """``data`` unchanged, or ``ValueError`` naming its unknown keys."""
+    valid = [spec_field.name for spec_field in fields(spec_class)]
+    unknown = sorted(map(str, set(data) - set(valid)))
+    if unknown:
+        raise ValueError(
+            f"unknown {section} key(s) {', '.join(map(repr, unknown))} "
+            f"(valid fields: {', '.join(valid)})"
+        )
+    return data
 
 
 @dataclass(frozen=True)
@@ -262,8 +276,13 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if self.broadcasts < 1:
             raise ValueError("a workload needs at least one broadcast")
-        if self.sender_pool is not None and self.sender_pool < 1:
-            raise ValueError("sender_pool must be positive when given")
+        pool = self.sender_pool
+        if pool is not None and (
+            isinstance(pool, bool) or not isinstance(pool, int) or pool < 1
+        ):
+            raise ValueError(
+                f"sender_pool must be a positive int when given, got {pool!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -359,11 +378,13 @@ class ScenarioSpec:
         engine: simulator delivery engine every session runs on
             (``"event"``, ``"batched"`` or ``"sharded"``).  All engines are
             seed-for-seed identical in every observable, so the choice
-            affects wall-clock time only — run digests are
-            engine-independent.
+            affects wall-clock time only — per-run metrics are
+            engine-independent (the run digest hashes the spec, so a
+            non-default engine still shows in it).
         shards: worker-process count for ``engine="sharded"`` (``None`` =
             the engine's default).  Behaviour is shard-count independent,
-            so the field — like ``engine`` — never changes a run digest.
+            so the field — like ``engine`` — never changes a run's
+            metrics.
         description: one line for catalogues and the CLI.
         tags: free-form labels (``"paper"``, ``"stress"``, ...).
     """
@@ -458,10 +479,24 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        """Reconstruct a spec from :meth:`to_dict` output."""
+        """Reconstruct a spec from :meth:`to_dict` output.
+
+        Raises:
+            ValueError: for a key that is not a field of the spec or of
+                the section it appears in (a typo such as ``"engin"``
+                must not silently run the defaults).
+        """
+        _check_keys(cls, "scenario", data)
+
+        def section(spec_class: type, key: str) -> Any:
+            return spec_class(
+                **_check_keys(spec_class, key, data.get(key, {}))
+            )
+
         churn_data = data.get("churn")
         churn = None
         if churn_data is not None:
+            _check_keys(ChurnSpec, "churn", churn_data)
             churn = ChurnSpec(
                 leave_fraction=churn_data.get("leave_fraction", 0.0),
                 leave_time=churn_data.get("leave_time", 0.25),
@@ -472,26 +507,25 @@ class ScenarioSpec:
                     for time, node, action in churn_data.get("events", ())
                 ),
             )
+        topology = _check_keys(TopologySpec, "topology", data["topology"])
         return cls(
             name=data["name"],
             topology=TopologySpec(
-                family=data["topology"]["family"],
-                params=dict(data["topology"].get("params", {})),
+                family=topology["family"],
+                params=dict(topology.get("params", {})),
             ),
-            conditions=ConditionsSpec(**data.get("conditions", {})),
+            conditions=section(ConditionsSpec, "conditions"),
             protocol=data.get("protocol", "flood"),
             protocol_options=dict(data.get("protocol_options", {})),
-            adversary=AdversarySpec(**data.get("adversary", {})),
-            workload=WorkloadSpec(**data.get("workload", {})),
-            seeds=SeedPolicy(**data.get("seeds", {})),
+            adversary=section(AdversarySpec, "adversary"),
+            workload=section(WorkloadSpec, "workload"),
+            seeds=section(SeedPolicy, "seeds"),
             churn=churn,
             faults=tuple(
-                FaultSpec(
-                    model=fault["model"], params=dict(fault.get("params", {}))
-                )
+                FaultSpec(**_check_keys(FaultSpec, "faults", fault))
                 for fault in data.get("faults", ())
             ),
-            privacy=PrivacySpec(**data.get("privacy", {})),
+            privacy=section(PrivacySpec, "privacy"),
             engine=data.get("engine", "event"),
             shards=data.get("shards"),
             description=data.get("description", ""),

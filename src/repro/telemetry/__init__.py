@@ -6,11 +6,14 @@ counter glossary and the trace-export workflow.
 
 Quick start::
 
+    from repro.protocols import create_protocol
     from repro.telemetry import TelemetryRecorder, recording
 
+    flood = create_protocol("flood")
     recorder = TelemetryRecorder()
     with recording(recorder):
-        result = run_flood(overlay, source=0, seed=0)
+        session = flood.build(overlay, seed=0)
+        flood.broadcast(session, source=0, payload_id="tx")
     print(recorder.counters["events_dispatched"])
 """
 

@@ -12,7 +12,6 @@ import pytest
 
 from repro.analysis.parallel import ParallelSweep, run_parallel
 from repro.analysis.sweep import derive_seed, sweep
-from repro.broadcast.flood import run_flood
 from repro.network.topology import random_regular_overlay
 
 
@@ -79,12 +78,12 @@ class TestParallelMatchesSerial:
         second = run_parallel([1, 2], seeded_runner, repetitions=3, base_seed=0)
         assert first == second
 
-    def test_simulation_runner(self):
+    def test_simulation_runner(self, broadcast_once):
         """End to end with a real (small) simulation inside each worker."""
 
         def flood_runner(size, seed):
             overlay = random_regular_overlay(int(size), degree=4, seed=seed)
-            result = run_flood(overlay, source=0, seed=seed)
+            result, _ = broadcast_once(overlay, "flood", source=0, seed=seed)
             return {
                 "messages": float(result.messages),
                 "reach": float(result.reach),

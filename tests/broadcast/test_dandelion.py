@@ -9,10 +9,17 @@ from repro.broadcast.dandelion import (
     DandelionConfig,
     DandelionNode,
     assign_stem_successors,
-    run_dandelion,
 )
 from repro.network.simulator import Simulator
 from repro.network.topology import random_regular_overlay
+
+
+def _stem_and_fluff(sim):
+    """Delivered stem and fluff message counts of one run."""
+    return (
+        sim.metrics.message_count(kind=DandelionNode.STEM_KIND),
+        sim.metrics.message_count(kind=DandelionNode.FLUFF_KIND),
+    )
 
 
 class TestConfig:
@@ -49,40 +56,47 @@ class TestStemSuccessors:
 
 
 class TestDandelionRun:
-    def test_reaches_all_nodes(self):
+    def test_reaches_all_nodes(self, broadcast_once):
         graph = random_regular_overlay(200, degree=8, seed=0)
-        result = run_dandelion(graph, source=0, seed=1)
+        result, _ = broadcast_once(graph, "dandelion", source=0, seed=1)
         assert result.reach == 200
         assert result.completion_time is not None
 
-    def test_has_stem_and_fluff_traffic(self):
+    def test_has_stem_and_fluff_traffic(self, broadcast_once):
         graph = random_regular_overlay(200, degree=8, seed=0)
-        result = run_dandelion(
-            graph, source=0, config=DandelionConfig(fluff_probability=0.2), seed=3
+        result, sim = broadcast_once(
+            graph, "dandelion", source=0,
+            config=DandelionConfig(fluff_probability=0.2), seed=3,
         )
-        assert result.fluff_messages > 0
-        assert result.stem_messages + result.fluff_messages == result.messages
+        stem, fluff = _stem_and_fluff(sim)
+        assert fluff > 0
+        assert stem + fluff == result.messages
 
-    def test_stem_length_bounded(self):
+    def test_stem_length_bounded(self, broadcast_once):
         graph = random_regular_overlay(100, degree=6, seed=4)
         config = DandelionConfig(fluff_probability=0.01, max_stem_length=5)
-        result = run_dandelion(graph, source=0, config=config, seed=5)
+        result, sim = broadcast_once(
+            graph, "dandelion", source=0, config=config, seed=5
+        )
         assert result.reach == 100
-        assert result.stem_messages <= 3 * 5  # a few stems may run concurrently
+        stem, _ = _stem_and_fluff(sim)
+        assert stem <= 3 * 5  # a few stems may run concurrently
 
-    def test_immediate_fluff_when_probability_one(self):
+    def test_immediate_fluff_when_probability_one(self, broadcast_once):
         graph = random_regular_overlay(50, degree=4, seed=6)
         config = DandelionConfig(fluff_probability=1.0)
-        result = run_dandelion(graph, source=0, config=config, seed=7)
-        assert result.stem_messages == 0
+        result, sim = broadcast_once(
+            graph, "dandelion", source=0, config=config, seed=7
+        )
+        assert _stem_and_fluff(sim)[0] == 0
         assert result.reach == 50
 
-    def test_deterministic(self):
+    def test_deterministic(self, broadcast_once):
         graph = random_regular_overlay(100, degree=6, seed=8)
-        a = run_dandelion(graph, source=0, seed=9)
-        b = run_dandelion(graph, source=0, seed=9)
+        a, sim_a = broadcast_once(graph, "dandelion", source=0, seed=9)
+        b, sim_b = broadcast_once(graph, "dandelion", source=0, seed=9)
         assert a.messages == b.messages
-        assert a.stem_messages == b.stem_messages
+        assert _stem_and_fluff(sim_a) == _stem_and_fluff(sim_b)
 
 
 class TestDandelionNode:

@@ -3,22 +3,22 @@
 import networkx as nx
 import pytest
 
-from repro.broadcast.flood import FloodNode, run_flood
+from repro.broadcast.flood import FloodNode
 from repro.network.message import Message
 from repro.network.simulator import Simulator
 from repro.network.topology import random_regular_overlay
 
 
 class TestFloodNode:
-    def test_reaches_all_nodes(self):
+    def test_reaches_all_nodes(self, broadcast_once):
         graph = random_regular_overlay(200, degree=8, seed=0)
-        result = run_flood(graph, source=0, seed=1)
+        result, _ = broadcast_once(graph, "flood", source=0, seed=1)
         assert result.reach == 200
         assert result.completion_time is not None
 
-    def test_message_count_close_to_2e(self):
+    def test_message_count_close_to_2e(self, broadcast_once):
         graph = random_regular_overlay(200, degree=8, seed=0)
-        result = run_flood(graph, source=0, seed=1)
+        result, _ = broadcast_once(graph, "flood", source=0, seed=1)
         edges = graph.number_of_edges()
         assert graph.number_of_nodes() - 1 <= result.messages <= 2 * edges
 
@@ -60,8 +60,8 @@ class TestFloodNode:
         with pytest.raises(ValueError):
             sim.node(1).on_message(0, Message(kind="bogus", payload_id="tx"))
 
-    def test_deterministic(self):
+    def test_deterministic(self, broadcast_once):
         graph = random_regular_overlay(100, degree=6, seed=3)
-        a = run_flood(graph, source=5, seed=4)
-        b = run_flood(graph, source=5, seed=4)
+        a, _ = broadcast_once(graph, "flood", source=5, seed=4)
+        b, _ = broadcast_once(graph, "flood", source=5, seed=4)
         assert a.messages == b.messages

@@ -6,10 +6,13 @@ import pytest
 from repro.diffusion.adaptive import (
     AdaptiveDiffusionConfig,
     AdaptiveDiffusionNode,
-    run_adaptive_diffusion,
 )
 from repro.network.simulator import Simulator
 from repro.network.topology import random_regular_overlay, regular_tree_overlay
+
+
+#: Registry name of the standalone adaptive-diffusion adapter.
+AD = "adaptive_diffusion"
 
 
 def make_sim(graph, config=None, seed=0):
@@ -19,38 +22,39 @@ def make_sim(graph, config=None, seed=0):
 
 
 class TestAdaptiveDiffusionProtocol:
-    def test_reaches_all_nodes_on_regular_graph(self):
+    def test_reaches_all_nodes_on_regular_graph(self, broadcast_once):
         graph = random_regular_overlay(100, degree=6, seed=1)
-        result = run_adaptive_diffusion(graph, source=0, seed=2)
+        result, _ = broadcast_once(graph, AD, source=0, seed=2)
         assert result.reach == 100
         assert result.completion_time is not None
 
-    def test_reaches_all_nodes_on_tree(self):
+    def test_reaches_all_nodes_on_tree(self, broadcast_once):
         graph = regular_tree_overlay(branching=3, depth=4)
-        result = run_adaptive_diffusion(graph, source=5, seed=3)
+        result, _ = broadcast_once(graph, AD, source=5, seed=3)
         assert result.reach == graph.number_of_nodes()
 
-    def test_costs_more_messages_than_spanning_tree(self):
+    def test_costs_more_messages_than_spanning_tree(self, broadcast_once):
         graph = random_regular_overlay(100, degree=6, seed=1)
-        result = run_adaptive_diffusion(graph, source=0, seed=2)
+        result, sim = broadcast_once(graph, AD, source=0, seed=2)
+        payload_messages = sim.metrics.message_count(kind="ad_payload")
         # At the very least every node but the source must receive the
         # payload once; adaptive diffusion adds control and duplicate traffic.
-        assert result.payload_messages >= 99
-        assert result.messages > result.payload_messages
+        assert payload_messages >= 99
+        assert result.messages > payload_messages
 
-    def test_message_kinds_present(self):
+    def test_message_kinds_present(self, broadcast_once):
         graph = random_regular_overlay(60, degree=4, seed=4)
-        result = run_adaptive_diffusion(graph, source=0, seed=5)
-        kinds = result.simulator.metrics.kinds()
+        _, sim = broadcast_once(graph, AD, source=0, seed=5)
+        kinds = sim.metrics.kinds()
         assert kinds.get("ad_payload", 0) > 0
         assert kinds.get("ad_spread", 0) > 0
         # The token must have been created at least once (originator hand-off).
         assert kinds.get("ad_token", 0) >= 1
 
-    def test_deterministic_under_seed(self):
+    def test_deterministic_under_seed(self, broadcast_once):
         graph = random_regular_overlay(60, degree=4, seed=4)
-        a = run_adaptive_diffusion(graph, source=0, seed=7)
-        b = run_adaptive_diffusion(graph, source=0, seed=7)
+        a, _ = broadcast_once(graph, AD, source=0, seed=7)
+        b, _ = broadcast_once(graph, AD, source=0, seed=7)
         assert a.messages == b.messages
         assert a.completion_time == b.completion_time
 
@@ -115,7 +119,7 @@ class TestAdaptiveDiffusionProtocol:
         for peer in sim.neighbours_of(5):
             assert sim.metrics.delivery_time(peer, "tx") is not None
 
-    def test_run_respects_max_time(self):
+    def test_run_respects_max_time(self, broadcast_once):
         graph = random_regular_overlay(100, degree=4, seed=15)
-        result = run_adaptive_diffusion(graph, source=0, seed=16, max_time=0.5)
+        result, _ = broadcast_once(graph, AD, source=0, seed=16, max_time=0.5)
         assert result.reach < 100

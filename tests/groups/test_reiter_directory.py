@@ -1,71 +1,10 @@
-"""Tests for the Reiter-style membership protocol and the group directory."""
+"""Tests for the overlay-wide group directory."""
 
 import random
 
 import pytest
 
 from repro.groups.directory import GroupDirectory
-from repro.groups.reiter import ReiterGroupMembership
-
-
-class TestReiterMembership:
-    def test_manager_must_be_member(self):
-        with pytest.raises(ValueError):
-            ReiterGroupMembership("m", ["a", "b"])
-
-    def test_honest_join_installs_new_view(self):
-        group = ReiterGroupMembership("m", ["m", "a", "b"])
-        assert group.propose_join("c")
-        assert "c" in group.members
-        assert group.view_number == 1
-
-    def test_honest_leave_installs_new_view(self):
-        group = ReiterGroupMembership("m", ["m", "a", "b", "c"])
-        assert group.propose_leave("c")
-        assert "c" not in group.members
-
-    def test_duplicate_join_rejected(self):
-        group = ReiterGroupMembership("m", ["m", "a"])
-        with pytest.raises(ValueError):
-            group.propose_join("a")
-
-    def test_leaving_non_member_rejected(self):
-        group = ReiterGroupMembership("m", ["m", "a"])
-        with pytest.raises(ValueError):
-            group.propose_leave("z")
-
-    def test_manager_cannot_leave(self):
-        group = ReiterGroupMembership("m", ["m", "a"])
-        with pytest.raises(ValueError):
-            group.propose_leave("m")
-
-    def test_minority_of_faulty_members_cannot_block(self):
-        faulty = {"f1"}
-        group = ReiterGroupMembership(
-            "m",
-            ["m", "a", "b", "f1"],
-            vote=lambda member, event: member not in faulty,
-        )
-        assert group.fault_tolerance() == 1
-        assert group.propose_join("c")
-
-    def test_more_than_a_third_faulty_blocks_changes(self):
-        faulty = {"f1", "f2"}
-        group = ReiterGroupMembership(
-            "m",
-            ["m", "a", "f1", "f2"],
-            vote=lambda member, event: member not in faulty,
-        )
-        assert not group.propose_join("c")
-        assert "c" not in group.members
-        assert len(group.rejected_events) == 1
-
-    def test_history_records_views(self):
-        group = ReiterGroupMembership("m", ["m", "a", "b"])
-        group.propose_join("c")
-        group.propose_leave("a")
-        assert len(group.history) == 3
-        assert group.history[0] == ["a", "b", "m"]
 
 
 class TestGroupDirectory:
@@ -93,3 +32,12 @@ class TestGroupDirectory:
         directory = GroupDirectory(list(range(20)), min_size=3, rng=random.Random(3))
         for node in range(20):
             assert directory.members_of(node) == directory.group_of(node).members
+
+    def test_group_ids_do_not_depend_on_earlier_directories(self):
+        def ids():
+            directory = GroupDirectory(
+                list(range(30)), min_size=4, rng=random.Random(4)
+            )
+            return [group.group_id for group in directory.groups]
+
+        assert ids() == ids()

@@ -1,9 +1,8 @@
 """Integration tests spanning multiple subsystems.
 
-These tests exercise the same flows as the examples: wallet-created
-transactions broadcast through the three-phase protocol, picked up into
-mempools, mined into blocks, and attacked by a botnet adversary — all on one
-simulated overlay.
+These tests exercise the same flows as the examples: payloads broadcast
+through the three-phase protocol on realistic overlays and attacked by a
+botnet adversary — all on one simulated overlay.
 """
 
 import random
@@ -12,39 +11,14 @@ import pytest
 
 from repro.adversary.botnet import deploy_botnet
 from repro.adversary.first_spy import FirstSpyEstimator
-from repro.analysis.experiment import attack_experiment
-from repro.blockchain import Blockchain, Mempool, Miner, Transaction, Wallet
+from repro.analysis.experiment import run_attack_experiment
 from repro.core import Phase, ProtocolConfig, ThreePhaseBroadcast
+from repro.network import NetworkConditions
 from repro.network.topology import bitcoin_like_overlay, random_regular_overlay
+from repro.protocols import create_protocol
 
 
 class TestWalletToBlockFlow:
-    def test_transaction_broadcast_and_mining(self):
-        rng = random.Random(0)
-        overlay = random_regular_overlay(80, degree=6, seed=0)
-        protocol = ThreePhaseBroadcast(
-            overlay, ProtocolConfig(group_size=4, diffusion_depth=2), seed=1
-        )
-        alice, bob = Wallet(rng, "alice"), Wallet(rng, "bob")
-        tx = alice.create_transaction(bob, amount=25, fee=2)
-
-        result = protocol.broadcast(source=10, payload=tx.serialize(),
-                                    payload_id=tx.tx_id)
-        assert result.delivered_fraction == 1.0
-
-        # Every peer that received the broadcast can reconstruct the
-        # transaction and add it to its mempool.
-        recovered = Transaction.deserialize(tx.serialize())
-        mempool = Mempool()
-        assert mempool.add(recovered)
-
-        chain = Blockchain(difficulty_bits=4)
-        miner = Miner("miner", chain, mempool, rng=rng)
-        block = miner.mine_block()
-        assert block is not None
-        assert chain.contains_transaction(tx.tx_id)
-        assert miner.earned_fees == 2
-
     def test_broadcast_on_bitcoin_like_overlay_with_unreachable_nodes(self):
         overlay = bitcoin_like_overlay(60, 30, outgoing=6, seed=2)
         protocol = ThreePhaseBroadcast(
@@ -64,10 +38,18 @@ class TestPrivacyComparisonIntegration:
         return random_regular_overlay(100, degree=8, seed=9)
 
     def test_three_phase_beats_flood_against_strong_botnet(self, overlay):
-        flood = attack_experiment(overlay, "flood", 0.3, broadcasts=8, seed=4)
-        private = attack_experiment(
-            overlay, "three_phase", 0.3, broadcasts=8, seed=5,
-            config=ProtocolConfig(group_size=5, diffusion_depth=3),
+        flood = run_attack_experiment(
+            overlay, "flood", 0.3, broadcasts=8, seed=4,
+            conditions=NetworkConditions(),
+        )
+        private = run_attack_experiment(
+            overlay,
+            create_protocol(
+                "three_phase",
+                config=ProtocolConfig(group_size=5, diffusion_depth=3),
+            ),
+            0.3, broadcasts=8, seed=5,
+            conditions=NetworkConditions.ideal(),
         )
         assert (
             private.detection.detection_probability

@@ -19,8 +19,7 @@ import hashlib
 
 import pytest
 
-from repro.broadcast.flood import FloodNode, run_flood
-from repro.broadcast.gossip import run_gossip
+from repro.broadcast.flood import FloodNode
 from repro.network.conditions import NetworkConditions
 from repro.network.latency import ConstantLatency
 from repro.network.simulator import ENGINES, Simulator
@@ -74,17 +73,21 @@ class TestGoldenLogsBatched:
     the event engine — the strongest form of the parity contract.
     """
 
-    def test_flood_log_unchanged(self):
+    def test_flood_log_unchanged(self, broadcast_once):
         overlay = random_regular_overlay(200, degree=8, seed=3)
-        result = run_flood(overlay, source=0, seed=11, engine="batched")
-        assert observation_digest(result.simulator) == (
+        _, sim = broadcast_once(
+            overlay, "flood", source=0, seed=11, engine="batched"
+        )
+        assert observation_digest(sim) == (
             "f4f67c74e1ab6a66909eea87966d0c547ef2bae70d1c9e5d50cc996786577723"
         )
 
-    def test_gossip_log_unchanged(self):
+    def test_gossip_log_unchanged(self, broadcast_once):
         overlay = random_regular_overlay(200, degree=8, seed=3)
-        result = run_gossip(overlay, source=5, seed=12, engine="batched")
-        assert observation_digest(result.simulator) == (
+        _, sim = broadcast_once(
+            overlay, "gossip", source=5, seed=12, engine="batched"
+        )
+        assert observation_digest(sim) == (
             "a7e2ffccad25a793a845c35ef15ac6dfe411d28e79a197fec790ce57899b47a7"
         )
 

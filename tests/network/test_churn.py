@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.broadcast.flood import FloodNode, run_flood
+from repro.broadcast.flood import FloodNode
 from repro.network.churn import (
     ChurnEvent,
     ChurnSchedule,
@@ -200,7 +200,7 @@ class TestChurnDeterminism:
         first, second = run_once(), run_once()
         assert first == second
 
-    def test_failed_then_restored_run_matches_plain_run(self):
+    def test_failed_then_restored_run_matches_plain_run(self, broadcast_once):
         # A node that fails and is restored before any traffic flows leaves
         # no trace: the run is log-identical to one that never churned
         # (the cache invalidation fully undoes itself).
@@ -211,7 +211,7 @@ class TestChurnDeterminism:
             ]
 
         overlay = random_regular_overlay(80, degree=8, seed=3)
-        plain = run_flood(overlay, source=0, seed=11)
+        _, plain = broadcast_once(overlay, "flood", source=0, seed=11)
 
         churned = Simulator(overlay, latency=ConstantLatency(0.1), seed=11)
         churned.populate(FloodNode)
@@ -219,4 +219,4 @@ class TestChurnDeterminism:
         churned.restore_node(5)
         churned.node(0).originate("tx")
         churned.run_until_idle()
-        assert log(plain.simulator) == log(churned)
+        assert log(plain) == log(churned)

@@ -23,8 +23,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.broadcast.flood import FloodNode, run_flood
-from repro.broadcast.gossip import run_gossip
+from repro.broadcast.flood import FloodNode
 from repro.network.conditions import NetworkConditions
 from repro.network.events import EventQueue
 from repro.network.simulator import Simulator
@@ -54,17 +53,17 @@ def observation_digest(simulator: Simulator) -> str:
 class TestGoldenLogs:
     """Digests captured on the pre-fast-path engine (seed commit d067cb0)."""
 
-    def test_flood_log_unchanged(self):
+    def test_flood_log_unchanged(self, broadcast_once):
         overlay = random_regular_overlay(200, degree=8, seed=3)
-        result = run_flood(overlay, source=0, seed=11)
-        assert observation_digest(result.simulator) == (
+        _, sim = broadcast_once(overlay, "flood", source=0, seed=11)
+        assert observation_digest(sim) == (
             "f4f67c74e1ab6a66909eea87966d0c547ef2bae70d1c9e5d50cc996786577723"
         )
 
-    def test_gossip_log_unchanged(self):
+    def test_gossip_log_unchanged(self, broadcast_once):
         overlay = random_regular_overlay(200, degree=8, seed=3)
-        result = run_gossip(overlay, source=5, seed=12)
-        assert observation_digest(result.simulator) == (
+        _, sim = broadcast_once(overlay, "gossip", source=5, seed=12)
+        assert observation_digest(sim) == (
             "a7e2ffccad25a793a845c35ef15ac6dfe411d28e79a197fec790ce57899b47a7"
         )
 
@@ -187,13 +186,11 @@ class TestSeedForSeedRepeatability:
     # unique by design), so runs are compared on the uid-free projection —
     # the same one the golden digests use.
 
-    def test_flood_runs_identical(self):
+    def test_flood_runs_identical(self, broadcast_once):
         overlay = random_regular_overlay(150, degree=6, seed=2)
-        first = run_flood(overlay, source=0, seed=5)
-        second = run_flood(overlay, source=0, seed=5)
-        assert observation_digest(first.simulator) == observation_digest(
-            second.simulator
-        )
+        _, first = broadcast_once(overlay, "flood", source=0, seed=5)
+        _, second = broadcast_once(overlay, "flood", source=0, seed=5)
+        assert observation_digest(first) == observation_digest(second)
 
     def test_lossy_runs_identical(self):
         overlay = random_regular_overlay(80, degree=6, seed=4)

@@ -27,8 +27,7 @@ import hashlib
 import pytest
 
 import repro.network.sharded as sharded_mod
-from repro.broadcast.flood import FloodNode, run_flood
-from repro.broadcast.gossip import run_gossip
+from repro.broadcast.flood import FloodNode
 from repro.network.conditions import NetworkConditions
 from repro.network.latency import ConstantLatency
 from repro.network.simulator import Simulator
@@ -103,23 +102,23 @@ class TestGoldenLogsSharded:
     the three-engine parity contract.
     """
 
-    def test_flood_log_unchanged(self):
+    def test_flood_log_unchanged(self, broadcast_once):
         overlay = random_regular_overlay(200, degree=8, seed=3)
-        result = run_flood(
-            overlay, source=0, seed=11, engine="sharded", shards=2
+        _, sim = broadcast_once(
+            overlay, "flood", source=0, seed=11, engine="sharded", shards=2
         )
-        assert observation_digest(result.simulator) == (
+        assert observation_digest(sim) == (
             "f4f67c74e1ab6a66909eea87966d0c547ef2bae70d1c9e5d50cc996786577723"
         )
 
-    def test_gossip_log_unchanged_via_fallback(self):
+    def test_gossip_log_unchanged_via_fallback(self, broadcast_once):
         # Gossip consumes per-node RNG, so the sharded engine must decline
         # the split and still hit the exact same golden in-process.
         overlay = random_regular_overlay(200, degree=8, seed=3)
-        result = run_gossip(
-            overlay, source=5, seed=12, engine="sharded", shards=2
+        _, sim = broadcast_once(
+            overlay, "gossip", source=5, seed=12, engine="sharded", shards=2
         )
-        assert observation_digest(result.simulator) == (
+        assert observation_digest(sim) == (
             "a7e2ffccad25a793a845c35ef15ac6dfe411d28e79a197fec790ce57899b47a7"
         )
 
@@ -169,9 +168,11 @@ class TestPathSelection:
         sim.run_until_idle()
         assert window_calls == []
 
-    def test_protocol_rng_falls_back(self, window_calls):
+    def test_protocol_rng_falls_back(self, window_calls, broadcast_once):
         overlay = random_regular_overlay(80, degree=4, seed=3)
-        run_gossip(overlay, source=0, seed=4, engine="sharded", shards=2)
+        broadcast_once(
+            overlay, "gossip", source=0, seed=4, engine="sharded", shards=2
+        )
         assert window_calls == []
 
     def test_single_shard_falls_back(self, window_calls):

@@ -1,18 +1,20 @@
 """Seed-for-seed equivalence of the registry harness with the legacy loop.
 
 The golden numbers below were captured by running the pre-registry
-``attack_experiment`` (the hard-coded if/elif implementation) at the commit
-that introduced the protocol registry.  The shim must keep reproducing them
-exactly: same detection counts, same mean message counts, for each of the
-three protocol names the legacy signature supported.
+attack experiment (the hard-coded if/elif implementation) at the commit
+that introduced the protocol registry.  The registry harness must keep
+reproducing them exactly: same detection counts, same mean message counts,
+for each of the three protocols that loop supported, under the conditions
+it used — constant 0.1 latency for the three-phase protocol, the default
+lossless per-edge latency for flood and Dandelion.
 """
 
 import pytest
 
-from repro.analysis.experiment import attack_experiment, run_attack_experiment
+from repro.analysis.experiment import run_attack_experiment
 from repro.broadcast.dandelion import DandelionConfig
 from repro.core.config import ProtocolConfig
-from repro.network import ConstantLatency, NetworkConditions
+from repro.network import NetworkConditions
 from repro.network.topology import random_regular_overlay
 from repro.protocols import create_protocol
 
@@ -25,7 +27,7 @@ GOLDEN = [
     ("dandelion", dict(adversary_fraction=0.2, broadcasts=5, seed=1),
      (5, 5, 1, 308.0, 1)),
     ("dandelion", dict(adversary_fraction=0.3, broadcasts=4, seed=3,
-                       dandelion_config=DandelionConfig(fluff_probability=0.2)),
+                       config=DandelionConfig(fluff_probability=0.2)),
      (4, 4, 1, 307.25, 1)),
     ("three_phase", dict(adversary_fraction=0.2, broadcasts=4, seed=2,
                          config=ProtocolConfig(group_size=4, diffusion_depth=2)),
@@ -35,22 +37,36 @@ GOLDEN = [
      (3, 3, 1, 681.3333333333334, 5)),
 ]
 
+#: The conditions the pre-registry loop ran each protocol under.
+LEGACY_CONDITIONS = {
+    "flood": NetworkConditions(),
+    "dandelion": NetworkConditions(),
+    "three_phase": NetworkConditions.ideal(),
+}
+
 
 @pytest.fixture(scope="module")
 def overlay():
     return random_regular_overlay(60, degree=6, seed=1)
 
 
-class TestLegacyShimEquivalence:
+class TestPreRegistryGoldens:
     @pytest.mark.parametrize(
         "protocol, kwargs, expected",
         GOLDEN,
         ids=[f"{p}-seed{kw['seed']}" for p, kw, _ in GOLDEN],
     )
-    def test_shim_reproduces_pre_registry_results(
+    def test_registry_reproduces_pre_registry_results(
         self, overlay, protocol, kwargs, expected
     ):
-        result = attack_experiment(overlay, protocol, **kwargs)
+        kwargs = dict(kwargs)
+        options = {"config": kwargs.pop("config")} if "config" in kwargs else {}
+        result = run_attack_experiment(
+            overlay,
+            create_protocol(protocol, **options),
+            conditions=LEGACY_CONDITIONS[protocol],
+            **kwargs,
+        )
         total, guesses, correct, messages, floor = expected
         assert result.protocol == protocol
         assert result.detection.total == total
@@ -58,50 +74,6 @@ class TestLegacyShimEquivalence:
         assert result.detection.correct == correct
         assert result.messages_per_broadcast == pytest.approx(messages)
         assert result.anonymity_floor == floor
-
-    def test_shim_matches_explicit_registry_call(self, overlay):
-        """The shim is exactly run_attack_experiment + legacy conditions."""
-        via_shim = attack_experiment(
-            overlay, "flood", adversary_fraction=0.3, broadcasts=6, seed=0
-        )
-        explicit = run_attack_experiment(
-            overlay,
-            create_protocol("flood"),
-            adversary_fraction=0.3,
-            broadcasts=6,
-            seed=0,
-            conditions=NetworkConditions(),
-        )
-        assert via_shim == explicit
-
-    def test_shim_matches_explicit_three_phase_call(self, overlay):
-        config = ProtocolConfig(group_size=4, diffusion_depth=2)
-        via_shim = attack_experiment(
-            overlay, "three_phase", adversary_fraction=0.2, broadcasts=4,
-            seed=2, config=config,
-        )
-        explicit = run_attack_experiment(
-            overlay,
-            create_protocol("three_phase", config=config),
-            adversary_fraction=0.2,
-            broadcasts=4,
-            seed=2,
-            conditions=NetworkConditions(latency=ConstantLatency(0.1)),
-        )
-        assert via_shim == explicit
-
-    def test_shim_rejects_unknown_protocol(self, overlay):
-        with pytest.raises(ValueError):
-            attack_experiment(overlay, "carrier-pigeon", 0.1)
-
-    def test_shim_accepts_newly_registered_protocols(self, overlay):
-        """Gossip and adaptive diffusion are reachable from the shim too."""
-        result = attack_experiment(
-            overlay, "gossip", adversary_fraction=0.2, broadcasts=3, seed=4
-        )
-        assert result.protocol == "gossip"
-        assert result.detection.total == 3
-        assert 0.0 < result.mean_reach <= 1.0
 
 
 class TestDeterminism:

@@ -9,12 +9,13 @@ digest on every engine, at any shard count.
 
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.scenarios import ScenarioRunner, ScenarioSpec, scenario
-from repro.scenarios.spec import TopologySpec
+from repro.scenarios.spec import ConditionsSpec, SeedPolicy, TopologySpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 SCRIPT = REPO_ROOT / "scripts" / "scenario.py"
@@ -97,6 +98,26 @@ class TestSpecField:
         assert event_digest == runner.observation_digest(
             spec.derive(engine="sharded", shards=2)
         )
+
+
+class TestShardedInsideRepetitionPool:
+    def test_sharded_declines_inside_daemonic_pool_workers(self):
+        # Repetition pool workers are daemonic and may not fork shard
+        # workers: the sharded engine must decline there with a named
+        # reason and fall back in-process to the event engine's exact runs.
+        spec = _small_spec().derive(
+            conditions=ConditionsSpec(kind="ideal"),
+            seeds=SeedPolicy(repetitions=2),
+        )
+        runner = ScenarioRunner(processes=2, telemetry=True)
+        event = runner.run(spec)
+        sharded = runner.run(spec.derive(engine="sharded", shards=2))
+        assert sharded.aggregate["effective_processes"] == 2.0
+        assert sharded.aggregate["engine_effective"] == "batched"
+        assert "inside a daemonic process" in sharded.telemetry["fallbacks"]
+        # The run digest hashes the spec (engine included), so compare
+        # the digest these runs get under the event engine's spec.
+        assert replace(sharded, spec=spec).digest == event.digest
 
 
 class TestShardsField:

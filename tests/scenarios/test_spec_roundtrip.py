@@ -143,6 +143,34 @@ class TestSpecValidation:
         assert config.top_k == (2,)
         assert config.intersection is False
 
+    @pytest.mark.parametrize("pool", [[1, 2], True, 2.0, "3"])
+    def test_sender_pool_must_be_a_positive_int(self, pool):
+        with pytest.raises(ValueError, match="sender_pool"):
+            WorkloadSpec(sender_pool=pool)
+
+    def test_unknown_top_level_key_rejected(self):
+        data = FULL_SPEC.to_dict()
+        data["engin"] = "sharded"
+        with pytest.raises(ValueError, match="'engin'") as excinfo:
+            ScenarioSpec.from_dict(data)
+        assert "engine" in str(excinfo.value)  # the valid fields are listed
+
+    @pytest.mark.parametrize(
+        "section", ["topology", "conditions", "adversary", "workload",
+                    "seeds", "churn", "privacy"],
+    )
+    def test_unknown_section_key_rejected(self, section):
+        data = FULL_SPEC.to_dict()
+        data[section]["typo"] = 1
+        with pytest.raises(ValueError, match=f"unknown {section} key.*'typo'"):
+            ScenarioSpec.from_dict(data)
+
+    def test_unknown_fault_key_rejected(self):
+        data = FULL_SPEC.to_dict()
+        data["faults"] = [{"model": "flaky_links", "parms": {}}]
+        with pytest.raises(ValueError, match="'parms'"):
+            ScenarioSpec.from_dict(data)
+
     def test_derive_replaces_fields(self):
         derived = FULL_SPEC.derive(protocol="flood", protocol_options={})
         assert derived.protocol == "flood"

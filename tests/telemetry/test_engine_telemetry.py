@@ -18,7 +18,6 @@ import json
 from pathlib import Path
 
 from repro.broadcast.flood import FloodNode
-from repro.broadcast.gossip import run_gossip
 from repro.network.latency import ConstantLatency
 from repro.network.simulator import Simulator
 from repro.network.topology import random_regular_overlay
@@ -142,27 +141,29 @@ class TestSpans:
 
 
 class TestFallbackSurface:
-    def test_sharded_decline_records_reason(self):
+    def test_sharded_decline_records_reason(self, broadcast_once):
         # Gossip consumes per-node protocol RNG, which the sharded engine
         # cannot split; the decline must be visible, not silent.
         recorder = TelemetryRecorder()
         overlay = random_regular_overlay(60, degree=4, seed=3)
         with recording(recorder):
-            result = run_gossip(
-                overlay, source=0, seed=1, engine="sharded", shards=2
+            _, sim = broadcast_once(
+                overlay, "gossip", source=0, seed=1, engine="sharded",
+                shards=2,
             )
-        sim = result.simulator
         assert sim.engine_effective == "batched"
         assert sim.fallback_reason is not None
         assert recorder.fallbacks  # reason string counted
 
-    def test_effective_engine_reported_without_telemetry(self):
+    def test_effective_engine_reported_without_telemetry(
+        self, broadcast_once
+    ):
         overlay = random_regular_overlay(60, degree=4, seed=3)
-        result = run_gossip(
-            overlay, source=0, seed=1, engine="sharded", shards=2
+        _, sim = broadcast_once(
+            overlay, "gossip", source=0, seed=1, engine="sharded", shards=2
         )
-        assert result.simulator.engine_effective == "batched"
-        assert "rng" in result.simulator.fallback_reason
+        assert sim.engine_effective == "batched"
+        assert "rng" in sim.fallback_reason
 
     def test_scenario_aggregate_carries_engine_effective(self):
         spec = scenario("e1_message_overhead")

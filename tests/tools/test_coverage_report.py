@@ -58,7 +58,6 @@ class TestAggregation:
 
     def test_critical_packages_carry_elevated_floors(self):
         assert coverage_report.floor_for("dcnet", 60.0) == 85.0
-        assert coverage_report.floor_for("blockchain", 60.0) == 85.0
         assert coverage_report.floor_for("network", 60.0) == 60.0
 
 
@@ -66,7 +65,7 @@ class TestGate:
     def test_passing_report_exits_zero(self, tmp_path):
         proc = _run(_write(tmp_path, _report({
             "src/repro/dcnet/blame.py": _entry(95, 100),
-            "src/repro/blockchain/chain.py": _entry(90, 100),
+            "src/repro/crypto/pads.py": _entry(90, 100),
             "src/repro/network/simulator.py": _entry(70, 100),
         })))
         assert proc.returncode == 0, proc.stderr
