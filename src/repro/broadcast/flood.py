@@ -13,7 +13,7 @@ from typing import Hashable, Optional, Set
 
 import numpy as np
 
-from repro.network.batched import CohortKernel
+from repro.network.batched import CohortKernel, exclude_sender_fan_out
 from repro.network.message import Message
 from repro.network.node import Node
 
@@ -73,13 +73,14 @@ class FloodNode(Node):
 class FloodCohortKernel(CohortKernel):
     """Vectorised flood-and-prune cohorts for the batched engine.
 
-    The fan-out is the CSR form of :meth:`FloodNode._forward`: every
-    neighbour except the delivering sender, with offline nodes and severed
-    links masked out exactly as ``neighbours_of`` excludes them.  One
+    The fan-out is the CSR form of :meth:`FloodNode._forward`
+    (:func:`~repro.network.batched.exclude_sender_fan_out`, which the
+    sharded engine's workers run too): every neighbour except the
+    delivering sender, with offline nodes and severed links masked out
+    exactly as ``neighbours_of`` excludes them.  One
     :class:`~repro.network.message.Message` is shared across a node's
-    forwards (the event engine allocates one per forward); uid order still
-    equals log order among equal-time deliveries, and digests exclude uids,
-    so every observable — including first-spy tie-breaking — is identical.
+    forwards (the event engine allocates one per forward); messages carry
+    no identity beyond their content, so every observable is identical.
     """
 
     node_type = FloodNode
@@ -87,9 +88,6 @@ class FloodCohortKernel(CohortKernel):
     # Flooding consumes no randomness at all — no coin flips, no sampling —
     # so shard workers can process cohorts without any shared RNG stream.
     rng_free = True
-    # Forward to every neighbour except the delivering sender: the one
-    # fan-out shape shard workers implement natively.
-    shard_fanout = "exclude_sender"
 
     def _node_has_seen(self, node: FloodNode, payload_id: Hashable) -> bool:
         return payload_id in node._seen
@@ -130,25 +128,14 @@ class FloodCohortKernel(CohortKernel):
         payload_id: Hashable,
     ) -> None:
         topology = self._topology
-        indptr = topology.indptr
-        starts = indptr[fresh_receivers]
-        counts = indptr[fresh_receivers + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return
-        # Flat CSR positions of every (forwarder, neighbour) pair: repeat
-        # each row start, then add a per-row 0..degree-1 ramp.
-        offsets = np.arange(total) - np.repeat(
-            np.cumsum(counts) - counts, counts
+        targets, senders, kept_counts = exclude_sender_fan_out(
+            topology.indptr,
+            topology.indices,
+            fresh_receivers,
+            fresh_exclude,
+            self._online,
+            self._edge_ok,
         )
-        flat = np.repeat(starts, counts) + offsets
-        targets = topology.indices[flat]
-        senders = np.repeat(fresh_receivers, counts)
-        keep = targets != np.repeat(fresh_exclude, counts)
-        if self._has_churn:
-            keep &= self._online[targets]
-            keep &= self._edge_ok[flat]
-
         nodes = self.simulator._nodes
         ids = topology.ids
         fresh_count = len(fresh_receivers)
@@ -162,10 +149,10 @@ class FloodCohortKernel(CohortKernel):
             )
         self._emit(
             time,
-            senders[keep],
-            targets[keep],
-            np.repeat(node_messages, counts)[keep],
-            np.repeat(node_sizes, counts)[keep],
+            senders,
+            targets,
+            np.repeat(node_messages, kept_counts),
+            np.repeat(node_sizes, kept_counts),
             payload_id,
         )
 

@@ -12,12 +12,12 @@ deliveries that share a timestamp — a *cohort* — as numpy arrays:
   ``Simulator.neighbours_of`` does.  Built once per topology-cache
   generation and cached on the graph itself, so repeated simulator
   constructions over one overlay (the benchmark repeat loop) share it.
-* :class:`DeliveryBlock` / :class:`BlockBuffer` — kernel-emitted fan-outs
-  are kept as same-time struct-of-arrays blocks in a side heap instead of
-  being exploded into per-message heap tuples.  Blocks reserve contiguous
-  sequence ranges from the shared :class:`~repro.network.events.EventQueue`
-  counter, so merging blocks with ordinary heap entries by ``(time, first
-  sequence)`` reproduces the event engine's total order exactly.
+* :class:`DeliveryBlock` — kernel-emitted fan-outs are kept as same-time
+  struct-of-arrays blocks instead of being exploded into per-message heap
+  tuples.  Each block sits on the simulator's one
+  :class:`~repro.network.events.EventQueue` under the first number of a
+  reserved sequence range, so ordering blocks against ordinary entries by
+  ``(time, sequence)`` reproduces the event engine's total order exactly.
 * :class:`CohortKernel` — the per-protocol cohort processor: vectorised
   churn filtering (offline/severed masks as boolean arrays, drops counted
   in ``churn_dropped``), one :meth:`ObservationStore.record_batch` append
@@ -138,6 +138,48 @@ def csr_topology(graph) -> CSRTopology:
     return topology
 
 
+def block_ramp(counts: np.ndarray) -> np.ndarray:
+    """``0..c-1`` for each count ``c``, concatenated (a per-block ramp)."""
+    return np.arange(int(counts.sum())) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+
+
+def exclude_sender_fan_out(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    fresh: np.ndarray,
+    exclude: np.ndarray,
+    online: Optional[np.ndarray] = None,
+    edge_ok: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flood's fan-out over a CSR adjacency: all neighbours but the sender.
+
+    Every ``fresh[i]`` forwards to each CSR neighbour except
+    ``exclude[i]``, in row (= ``neighbours_of``) order.  With churn, the
+    ``online`` node mask and the per-CSR-position ``edge_ok`` mask drop
+    offline targets and severed links exactly as ``neighbours_of``
+    excludes them.  Returns ``(targets, senders, kept_counts)``: the
+    surviving forwards grouped by forwarder, and how many each ``fresh[i]``
+    kept.  The batched flood kernel and the sharded engine's workers both
+    forward through this one function.
+    """
+    starts = indptr[fresh]
+    counts = indptr[fresh + 1] - starts
+    # Flat CSR positions of every (forwarder, neighbour) pair: repeat each
+    # row start, then add a per-row 0..degree-1 ramp.
+    flat = np.repeat(starts, counts) + block_ramp(counts)
+    targets = indices[flat]
+    keep = targets != np.repeat(exclude, counts)
+    if online is not None:
+        keep &= online[targets]
+        keep &= edge_ok[flat]
+    kept_counts = np.bincount(
+        np.repeat(np.arange(len(fresh)), counts)[keep], minlength=len(fresh)
+    )
+    return targets[keep], np.repeat(fresh, counts)[keep], kept_counts
+
+
 class DeliveryBlock:
     """One same-time run of kernel-generated deliveries, kept as arrays."""
 
@@ -157,41 +199,6 @@ class DeliveryBlock:
         self.sizes = sizes
         self.payload_id = payload_id
         self.size = len(receivers)
-
-
-class BlockBuffer:
-    """A heap of :class:`DeliveryBlock` entries ordered by (time, seq).
-
-    The batched counterpart of the event queue's delivery tuples: each entry
-    is ``(time, first reserved sequence, block)``.  First sequences are
-    unique (reserved ranges are disjoint), so heap comparison never reaches
-    the block.  ``len`` counts pending *deliveries*, not blocks, which keeps
-    ``Simulator.pending_events`` meaning "messages still in flight".
-    """
-
-    __slots__ = ("_heap", "_live")
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, DeliveryBlock]] = []
-        self._live = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def push(self, time: float, seq0: int, block: DeliveryBlock) -> None:
-        heapq.heappush(self._heap, (time, seq0, block))
-        self._live += block.size
-
-    def peek(self) -> Optional[Tuple[float, int, DeliveryBlock]]:
-        return self._heap[0] if self._heap else None
-
-    def peek_time(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
-
-    def pop(self) -> Tuple[float, int, DeliveryBlock]:
-        entry = heapq.heappop(self._heap)
-        self._live -= entry[2].size
-        return entry
 
 
 class CohortKernel:
@@ -217,12 +224,6 @@ class CohortKernel:
     #: sharded engine's multi-process path (:mod:`repro.network.sharded`);
     #: everything else falls back in-process.
     rng_free: bool = False
-    #: Shape of the kernel's fan-out, for kernels whose forwarding rule is
-    #: simple enough that a shard worker can run it without node objects.
-    #: ``"exclude_sender"`` = forward to every neighbour except the
-    #: delivering sender (flood); ``None`` (the default) means the fan-out
-    #: needs the kernel itself, disqualifying the multi-process path.
-    shard_fanout: Optional[str] = None
 
     def __init__(self, simulator) -> None:
         self.simulator = simulator
@@ -331,8 +332,10 @@ class CohortKernel:
 
         Shard workers build forwarded messages' byte sizes from this array
         instead of touching node objects (``node_sizes[forwarder]`` must
-        equal the ``size_bytes`` the node would put on the wire).  ``None``
-        (the default) disqualifies the multi-process path.
+        equal the ``size_bytes`` the node would put on the wire).  Workers
+        forward with :func:`exclude_sender_fan_out`, so only a kernel with
+        exactly that fan-out may return sizes; ``None`` (the default)
+        disqualifies the multi-process path.
         """
         return None
 
@@ -440,7 +443,7 @@ class CohortKernel:
         sizes: np.ndarray,
         payload_id: Hashable,
     ) -> None:
-        """Apply latency/loss/jitter in send order and buffer the blocks.
+        """Apply latency/loss/jitter in send order and queue the blocks.
 
         Mirrors ``Simulator.send`` per message: the latency model is
         consumed per forward in send order; the dedicated link stream draws
@@ -457,10 +460,10 @@ class CohortKernel:
         jitter = simulator._jitter
         if constant is not None and loss == 0.0 and jitter == 0.0:
             # Hot path: one block, one reservation, zero RNG draws.
-            seq0 = simulator._queue.reserve_sequences(total)
-            simulator._blocks.push(
+            queue = simulator._queue
+            queue.push_block(
                 time + constant,
-                seq0,
+                queue.reserve_sequences(total),
                 DeliveryBlock(tgt_idx, send_idx, messages, sizes, payload_id),
             )
             return
@@ -512,7 +515,8 @@ class CohortKernel:
         # Sequences are reserved after the loss filter — the event engine
         # never allocates a sequence for a lost transmission either, so the
         # numbering stays engine-identical.
-        seq0 = simulator._queue.reserve_sequences(total)
+        queue = simulator._queue
+        seq0 = queue.reserve_sequences(total)
         times = time + delays
         order = np.argsort(times, kind="stable")
         times_sorted = times[order]
@@ -521,12 +525,11 @@ class CohortKernel:
         ends = np.concatenate(
             (change, np.asarray([total], dtype=np.int64))
         )
-        blocks = simulator._blocks
         for s, e in zip(starts.tolist(), ends.tolist()):
             # Within one delivery time, entries must sit in send (sequence)
             # order: ascending original positions.
             sel = np.sort(order[s:e])
-            blocks.push(
+            queue.push_block(
                 float(times_sorted[s]),
                 seq0 + int(sel[0]),
                 DeliveryBlock(
@@ -545,20 +548,19 @@ class CohortKernel:
 def run_batched(simulator, kernel, until, max_events) -> float:
     """The batched counterpart of ``Simulator.run``'s event loop.
 
-    Merges ordinary heap entries and buffered delivery blocks by
-    ``(time, sequence)``.  Contiguous kernel-eligible deliveries are
-    assembled into cohorts and handed to the kernel; timers, direct sends,
-    foreign message kinds and anything queued while a first-observation
-    hook is pending are processed per item, event-engine style, so every
-    interleaving (churn timers firing between same-time deliveries, phase
-    hooks) is preserved exactly.
+    Walks the one event queue in ``(time, sequence)`` order.  Contiguous
+    kernel-eligible deliveries — delivery blocks and single overlay
+    deliveries of the kernel's kind — are assembled into cohorts and handed
+    to the kernel; timers, direct sends, foreign message kinds and anything
+    queued while a first-observation hook is pending are processed per
+    item, event-engine style, so every interleaving (churn timers firing
+    between same-time deliveries, phase hooks) is preserved exactly.
     """
     simulator._start_nodes()
     executed = 0
     event_cap = float("inf") if max_events is None else max_events
     hit_event_limit = False
     queue = simulator._queue
-    blocks = simulator._blocks
     store = simulator.store
     kind = kernel.kind
     # One attribute load per run; the disabled path then pays a single
@@ -566,46 +568,41 @@ def run_batched(simulator, kernel, until, max_events) -> float:
     telemetry = simulator._telemetry
     while True:
         if executed >= event_cap:
-            next_time = simulator._next_pending_time()
+            next_time = queue.peek_time()
             hit_event_limit = next_time is not None and (
                 until is None or next_time <= until
             )
             break
         entry = queue.peek_entry()
-        block = blocks.peek()
-        if entry is None and block is None:
+        if entry is None:
             break
-        use_block = block is not None and (
-            entry is None or (block[0], block[1]) < (entry[0], entry[1])
-        )
-        time = block[0] if use_block else entry[0]
+        time, _, item = entry
         if until is not None and time > until:
             break
         if time > simulator._now:
             simulator._now = time
-        if store._first_hooks:
-            # A pending phase hook must fire at its exact log position and
-            # may react by scheduling work; serve everything per item until
-            # it has fired.
-            if use_block:
-                executed += _drain_block(simulator, kernel, blocks.pop())
-            else:
-                executed += _step_single(simulator)
-        elif use_block or (
-            entry[2].__class__ is tuple
-            and not entry[2][3]
-            and entry[2][2].kind == kind
+        if item.__class__ is DeliveryBlock:
+            if store._first_hooks:
+                # A pending phase hook must fire at its exact log position
+                # and may react by scheduling work; serve everything per
+                # item until it has fired.
+                queue.pop_block()
+                executed += _drain_block(simulator, kernel, time, item)
+                continue
+        elif (
+            store._first_hooks
+            or item.__class__ is not tuple
+            or item[3]
+            or item[2].kind != kind
         ):
-            consumed = _process_cohort(simulator, kernel, time)
-            executed += consumed
-            if telemetry is not None:
-                telemetry.incr("cohorts")
-                telemetry.observe("cohort_size", consumed)
-                telemetry.gauge_max(
-                    "live_events_peak", simulator.pending_events
-                )
-        else:
             executed += _step_single(simulator)
+            continue
+        consumed = _process_cohort(simulator, kernel, time)
+        executed += consumed
+        if telemetry is not None:
+            telemetry.incr("cohorts")
+            telemetry.observe("cohort_size", consumed)
+            telemetry.gauge_max("live_events_peak", simulator.pending_events)
     simulator._last_executed = executed
     if until is not None and not hit_event_limit:
         simulator._now = max(simulator._now, until)
@@ -633,21 +630,18 @@ def _step_single(simulator) -> int:
     return 1
 
 
-def _drain_block(simulator, kernel, entry) -> int:
+def _drain_block(simulator, kernel, time: float, block: DeliveryBlock) -> int:
     """Process one delivery block per item (first-observation hook mode)."""
-    time, _, block = entry
     kernel.refresh()
     ids = kernel._topology.ids
     offline = simulator._offline
     severed = simulator._severed
     record = simulator._record
     nodes = simulator._nodes
-    executed = 0
     for r, s, message in zip(
         block.receivers.tolist(), block.senders.tolist(),
         block.messages.tolist(),
     ):
-        executed += 1
         receiver = ids[r]
         sender = ids[s]
         if (offline or severed) and simulator._drop_in_flight(
@@ -656,21 +650,49 @@ def _drain_block(simulator, kernel, entry) -> int:
             continue
         record(Observation(time, receiver, sender, message, False))
         nodes[receiver].on_message(sender, message)
-    return executed
+    return block.size
+
+
+def unpack_block_entries(simulator) -> None:
+    """Turn every queued delivery block back into per-message entries.
+
+    Called when a node population change drops the cohort kernel, so the
+    next run falls back to the event loop, which only understands
+    per-message deliveries.  A block's entries get consecutive numbers from
+    its first sequence: its reservation's range holds no other entry due at
+    the block's time, so the total order is unchanged.
+    """
+    queue = simulator._queue
+    if not any(entry[2].__class__ is DeliveryBlock for entry in queue._heap):
+        return
+    ids = csr_topology(simulator.graph).ids
+    heap = []
+    for time, sequence, item in queue._heap:
+        if item.__class__ is not DeliveryBlock:
+            heap.append((time, sequence, item))
+            continue
+        for offset, (r, s, message) in enumerate(zip(
+            item.receivers.tolist(), item.senders.tolist(),
+            item.messages.tolist(),
+        )):
+            heap.append(
+                (time, sequence + offset, (ids[r], ids[s], message, False))
+            )
+    heapq.heapify(heap)
+    queue._heap = heap
 
 
 def _process_cohort(simulator, kernel, time: float) -> int:
     """Assemble and process every batchable entry at ``time``.
 
-    Entries are consumed strictly in sequence order, merging the heap and
-    the block buffer, and stop at the first timer, direct send, foreign
-    kind or unknown endpoint — those are handled per item by the caller on
-    its next iteration, preserving the event engine's interleaving.
+    Entries are consumed strictly in sequence order and stop at the first
+    timer, direct send, foreign kind or unknown endpoint — those are
+    handled per item by the caller on its next iteration, preserving the
+    event engine's interleaving.
     """
     kernel.refresh()
     index = kernel.index
     queue = simulator._queue
-    blocks = simulator._blocks
     kind = kernel.kind
 
     # Each segment: (payload_id, receivers, senders, messages, sizes,
@@ -679,46 +701,35 @@ def _process_cohort(simulator, kernel, time: float) -> int:
     segments: List[tuple] = []
     while True:
         entry = queue.peek_entry()
-        block = blocks.peek()
-        pick_entry = False
-        pick_block = False
-        if block is not None and block[0] == time:
-            if entry is not None and entry[0] == time and entry[1] < block[1]:
-                pick_entry = True
-            else:
-                pick_block = True
-        elif entry is not None and entry[0] == time:
-            pick_entry = True
-        if pick_entry:
-            item = entry[2]
-            if item.__class__ is not tuple or item[3] or item[2].kind != kind:
-                break
-            receiver, sender, message, _ = item
-            r = index.get(receiver)
-            s = index.get(sender)
-            if r is None or s is None:
-                break
-            queue.pop_entry()
-            payload_id = message.payload_id
-            last = segments[-1] if segments else None
-            if last is not None and not last[5] and last[0] == payload_id:
-                last[1].append(r)
-                last[2].append(s)
-                last[3].append(message)
-                last[4].append(message.size_bytes)
-            else:
-                segments.append(
-                    (payload_id, [r], [s], [message],
-                     [message.size_bytes], False)
-                )
-        elif pick_block:
-            blk = blocks.pop()[2]
-            segments.append(
-                (blk.payload_id, blk.receivers, blk.senders, blk.messages,
-                 blk.sizes, True)
-            )
-        else:
+        if entry is None or entry[0] != time:
             break
+        item = entry[2]
+        if item.__class__ is DeliveryBlock:
+            queue.pop_block()
+            segments.append(
+                (item.payload_id, item.receivers, item.senders,
+                 item.messages, item.sizes, True)
+            )
+            continue
+        if item.__class__ is not tuple or item[3] or item[2].kind != kind:
+            break
+        receiver, sender, message, _ = item
+        r = index.get(receiver)
+        s = index.get(sender)
+        if r is None or s is None:
+            break
+        queue.pop_entry()
+        payload_id = message.payload_id
+        last = segments[-1] if segments else None
+        if last is not None and not last[5] and last[0] == payload_id:
+            last[1].append(r)
+            last[2].append(s)
+            last[3].append(message)
+            last[4].append(message.size_bytes)
+        else:
+            segments.append(
+                (payload_id, [r], [s], [message], [message.size_bytes], False)
+            )
 
     if not segments:
         # The head was same-time but not assemblable after all (unknown

@@ -11,9 +11,12 @@ and only :meth:`EventQueue.push` — the cancellable path used by
 ``Simulator.schedule`` — allocates an :class:`Event` handle.  The
 simulator's message deliveries go through :meth:`EventQueue.push_item`,
 which stores an arbitrary payload with no per-event handle at all; the
-simulator's run loop dispatches on the payload type.  Because sequence
-numbers are unique, tuple comparison never reaches the third element, so
-payloads need not be comparable.
+simulator's run loop dispatches on the payload type.  The batched engine
+adds one more entry shape: :meth:`EventQueue.push_block` stores a block of
+same-time deliveries under the first number of a reserved sequence range
+(:meth:`EventQueue.reserve_sequences`), so one heap orders every engine's
+deliveries.  Because sequence numbers are unique, tuple comparison never
+reaches the third element, so payloads need not be comparable.
 
 The queue also keeps an exact *live* count: :func:`len` reports only events
 that are still going to fire.  Cancelled events are excluded immediately at
@@ -79,65 +82,39 @@ class Event:
 class EventQueue:
     """A deterministic priority queue of scheduled items.
 
-    Two write paths share one heap:
+    Three write paths share one heap:
 
     * :meth:`push` returns an :class:`Event` handle that can be cancelled —
       this is what ``Simulator.schedule`` (protocol timers) uses;
     * :meth:`push_item` stores an opaque payload without allocating a
-      handle — the simulator's delivery fast path.
+      handle — the simulator's delivery fast path;
+    * :meth:`push_block` stores a batched-engine delivery block.
 
     ``len(queue)`` is the number of events that will still fire (cancelled
-    entries are excluded the moment they are cancelled).
+    entries are excluded the moment they are cancelled; a block counts as
+    the deliveries it holds).
     """
 
     def __init__(self) -> None:
         self._heap: list = []
         self._live = 0
         self._next_sequence = count().__next__
-        self._seq_counter: Optional[int] = None
         #: Peak live-entry count; ``None`` until
         #: :meth:`enable_depth_tracking` opts this queue in.
         self.peak_live: Optional[int] = None
 
-    # ------------------------------------------------------------------
-    # Sequence reservation (batched engine)
-    # ------------------------------------------------------------------
-    def _take_sequence(self) -> int:
-        value = self._seq_counter
-        self._seq_counter = value + 1
-        return value
+    def reserve_sequences(self, n: int) -> int:
+        """Reserve ``n`` consecutive sequence numbers; return the first.
 
-    def enable_sequence_reservation(self) -> None:
-        """Switch to an int counter that supports block reservation.
-
-        The batched delivery engine interleaves heap entries with
-        struct-of-arrays cohort blocks that each occupy a contiguous *range*
-        of sequence numbers (:meth:`reserve_sequences`), so both must draw
-        from one shared counter.  ``itertools.count`` cannot jump, hence the
-        switch; the default engine keeps the slightly faster C counter.
-        Must be called before anything is pushed.
+        The batched engine's delivery blocks (:meth:`push_block`) stand
+        for many deliveries each.  Reserved numbers order a block's
+        entries against every other entry exactly as if each had been
+        pushed individually.  The C counter cannot jump, so it is
+        restarted past the reserved range.
         """
-        if self._heap:
-            raise RuntimeError(
-                "sequence reservation must be enabled on an empty queue"
-            )
-        self._seq_counter = 0
-        self._next_sequence = self._take_sequence
-
-    def reserve_sequences(self, count: int) -> int:
-        """Reserve ``count`` consecutive sequence numbers; return the first.
-
-        Only valid after :meth:`enable_sequence_reservation`.  Reserved
-        numbers order a delivery block's entries against heap entries
-        exactly as if each had been pushed individually.
-        """
-        if self._seq_counter is None:
-            raise RuntimeError(
-                "reserve_sequences requires enable_sequence_reservation()"
-            )
-        value = self._seq_counter
-        self._seq_counter = value + count
-        return value
+        first = self._next_sequence()
+        self._next_sequence = count(first + n).__next__
+        return first
 
     def __len__(self) -> int:
         return self._live
@@ -158,75 +135,64 @@ class EventQueue:
         """Schedule an opaque, non-cancellable ``item`` at ``time``.
 
         The fast path of the simulator: one tuple on the heap, no handle.
-        The caller of :meth:`pop_item` is responsible for knowing what the
-        payload means.
+        The caller of :meth:`pop_item_until` is responsible for knowing
+        what the payload means.
         """
         if time < 0:
             raise ValueError("events cannot be scheduled at negative times")
         heapq.heappush(self._heap, (time, self._next_sequence(), item))
         self._live += 1
 
+    def push_block(self, time: float, sequence: int, block: Any) -> None:
+        """Schedule a block of ``block.size`` same-time deliveries.
+
+        ``sequence`` is the first number of a :meth:`reserve_sequences`
+        range.  The block counts ``block.size`` toward ``len(queue)``, so
+        it must come off the heap through :meth:`pop_block`: the
+        per-entry readers (:meth:`pop_item_until`, :meth:`pop_entry`)
+        count one per entry.  Only the batched engine pushes blocks, and it
+        unpacks any left queued before the event loop takes over.
+        """
+        heapq.heappush(self._heap, (time, sequence, block))
+        self._live += block.size
+
+    def pop_block(self) -> tuple:
+        """Remove the head entry, which the caller peeked as a block."""
+        entry = heapq.heappop(self._heap)
+        self._live -= entry[2].size
+        return entry
+
     def enable_depth_tracking(self) -> None:
         """Track the peak number of live entries (telemetry opt-in).
 
-        Shadows :meth:`push`/:meth:`push_item` with counting wrappers on
-        this instance, so queues without tracking — the default — pay
-        nothing.  The peak is exposed as :attr:`peak_live`.
+        Shadows the three push methods with counting wrappers on this
+        instance, so queues without tracking — the default — pay nothing.
+        The peak is exposed as :attr:`peak_live`; a block counts as its
+        size.
         """
         self.peak_live = self._live
-        self.push = self._tracked_push  # type: ignore[method-assign]
-        self.push_item = self._tracked_push_item  # type: ignore[method-assign]
+        for name in ("push", "push_item", "push_block"):
+            setattr(self, name, self._tracked(getattr(EventQueue, name)))
 
-    def _tracked_push(self, time: float, action: Callable[[], None]) -> Event:
-        event = EventQueue.push(self, time, action)
-        if self._live > self.peak_live:
-            self.peak_live = self._live
-        return event
+    def _tracked(self, push: Callable[..., Any]) -> Callable[..., Any]:
+        def tracked_push(*args: Any) -> Any:
+            result = push(self, *args)
+            if self._live > self.peak_live:
+                self.peak_live = self._live
+            return result
 
-    def _tracked_push_item(self, time: float, item: Any) -> None:
-        EventQueue.push_item(self, time, item)
-        if self._live > self.peak_live:
-            self.peak_live = self._live
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next live event's handle, or ``None``.
-
-        Items stored through :meth:`push_item` are returned wrapped in a
-        fresh (already-detached) handle so the legacy ``pop().action()``
-        idiom keeps working for callable payloads.
-        """
-        entry = self._pop_live()
-        if entry is None:
-            return None
-        time, sequence, item = entry
-        if item.__class__ is Event:
-            return item
-        return Event(time, sequence, item)
-
-    def pop_item(self) -> Optional[Tuple[float, Any]]:
-        """Remove and return ``(time, payload)`` of the next live entry.
-
-        For entries made by :meth:`push`, the payload is the event's
-        ``action`` callable; for :meth:`push_item` entries it is the stored
-        item, verbatim.  Returns ``None`` when nothing live remains.
-        """
-        entry = self._pop_live()
-        if entry is None:
-            return None
-        time, _, item = entry
-        if item.__class__ is Event:
-            return time, item.action
-        return time, item
+        return tracked_push
 
     def pop_item_until(
         self, limit: Optional[float]
     ) -> Optional[Tuple[float, Any]]:
-        """Like :meth:`pop_item`, but leave entries after ``limit`` queued.
+        """Remove and return ``(time, payload)`` of the next live entry.
 
-        Returns ``None`` when the queue has no live entry at time ``<=
-        limit`` (with ``limit=None`` meaning "no bound").  This fuses the
-        peek-then-pop pair of the simulator's run loop into one heap
-        inspection per event.
+        For entries made by :meth:`push`, the payload is the event's
+        ``action`` callable; for :meth:`push_item` entries it is the stored
+        item, verbatim.  Returns ``None`` when the queue has no live entry
+        at time ``<= limit`` (with ``limit=None`` meaning "no bound"), so
+        the simulator's run loop needs one heap inspection per event.
         """
         heap = self._heap
         while heap:
@@ -252,11 +218,9 @@ class EventQueue:
     def peek_entry(self) -> Optional[tuple]:
         """The next live ``(time, sequence, item)`` entry, without popping.
 
-        The batched engine merges heap entries with its delivery blocks by
-        ``(time, sequence)``, so unlike :meth:`peek_time` it needs the
-        sequence number too.  ``item`` is the raw stored payload — an
-        :class:`Event` for :meth:`push` entries.  Cancelled events are
-        discarded on the way.
+        ``item`` is the raw stored payload — an :class:`Event` for
+        :meth:`push` entries, the block for :meth:`push_block` entries.
+        Cancelled events are discarded on the way.
         """
         heap = self._heap
         while heap:
@@ -271,26 +235,11 @@ class EventQueue:
     def pop_entry(self) -> Optional[tuple]:
         """Remove and return the next live ``(time, sequence, item)`` entry.
 
-        The raw-payload counterpart of :meth:`pop_item` (``push`` entries
-        come back as their :class:`Event`, already detached); used by the
-        batched engine, whose dispatch wants the sequence number.
+        The raw-payload counterpart of :meth:`pop_item_until` (``push``
+        entries come back as their :class:`Event`, detached so a late
+        :meth:`Event.cancel` cannot decrement the live count); used by the
+        batched and sharded engines, which want the sequence number.
         """
-        return self._pop_live()
-
-    def peek_time(self) -> Optional[float]:
-        """Return the time of the next pending event without removing it."""
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            item = head[2]
-            if item.__class__ is Event and item.cancelled:
-                heapq.heappop(heap)
-                continue
-            return head[0]
-        return None
-
-    def _pop_live(self) -> Optional[tuple]:
-        """Pop the next non-cancelled heap entry, maintaining the live count."""
         heap = self._heap
         while heap:
             entry = heapq.heappop(heap)
@@ -298,9 +247,12 @@ class EventQueue:
             if item.__class__ is Event:
                 if item.cancelled:
                     continue
-                # Detach so a late cancel() cannot decrement the live count
-                # for an event that already fired.
                 item._queue = None
             self._live -= 1
             return entry
         return None
+
+    def peek_time(self) -> Optional[float]:
+        """Return the time of the next pending event without removing it."""
+        head = self.peek_entry()
+        return None if head is None else head[0]

@@ -8,12 +8,8 @@ only information the honest-but-curious adversaries of
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Optional
-
-_message_counter = itertools.count()
-
 
 @dataclass(slots=True)
 class Message:
@@ -26,22 +22,18 @@ class Message:
             All messages belonging to one broadcast share this id.
         body: arbitrary protocol metadata (share bytes, round counters, ...).
         size_bytes: accounted message size; used only for traffic statistics.
-        uid: unique identifier of this message instance.
     """
 
     kind: str
     payload_id: Hashable
     body: Dict[str, Any] = field(default_factory=dict)
     size_bytes: int = 256
-    # Bound method of the counter directly: one C-level call per message
-    # instead of a Python wrapper frame on the hot construction path.
-    uid: int = field(default_factory=_message_counter.__next__)
 
     def copy_for_forwarding(self) -> "Message":
         """Return a fresh message instance carrying the same content.
 
-        Forwarded messages get their own ``uid`` so traffic accounting counts
-        every hop separately, exactly like a real network would.
+        The body is copied, so a forwarder may change its copy without
+        touching the message it received.
         """
         return Message(
             kind=self.kind,

@@ -22,9 +22,10 @@ is itself exact).  Eligibility requires:
   startup);
 * a kernel that declares ``rng_free`` (no protocol randomness — a shared
   ``random.Random`` stream cannot be split across processes without
-  reordering its draws) and the ``"exclude_sender"`` fan-out shape plus
-  per-node payload sizes (:meth:`CohortKernel.shard_node_sizes`), so the
-  worker can run the fan-out without calling back into node objects;
+  reordering its draws) and per-node payload sizes
+  (:meth:`CohortKernel.shard_node_sizes`), so the worker can run flood's
+  fan-out (:func:`repro.network.batched.exclude_sender_fan_out`) without
+  calling back into node objects;
 * a constant-delay latency model with zero loss and zero jitter (loss and
   jitter consume the dedicated link RNG per send in global send order,
   which is exactly the cross-process ordering problem again);
@@ -52,12 +53,6 @@ exactly.  The observation store adopts each window as an unmerged,
 delta-counted cohort (:meth:`ObservationStore.adopt_cohort`); the rank
 merge and ``Observation`` materialisation are deferred until a reader
 actually needs log entries, which a pure-counting benchmark never does.
-
-The per-shard RNG derivation the design reserves for future kernels that
-*do* consume randomness (derive one stream per (seed, shard, window) so a
-worker's draws are independent of every other worker's schedule) is
-provided as :func:`shard_rng`; the currently eligible kernels are
-``rng_free`` and never call it.
 """
 
 from __future__ import annotations
@@ -65,13 +60,17 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
-import random
 import sys
 import traceback
 from typing import Dict, Hashable, List, Optional
 
 import numpy as np
 
+from repro.network.batched import (
+    DeliveryBlock,
+    block_ramp,
+    exclude_sender_fan_out,
+)
 from repro.network.events import Event
 from repro.network.message import Message
 from repro.network.topology import bfs_partition
@@ -86,22 +85,6 @@ MAX_DEFAULT_SHARDS = 8
 #: cached on ``graph.graph``; popped by
 #: ``Simulator.invalidate_topology_caches`` (by the same literal).
 PARTITION_CACHE_KEY = "repro_sharded_partition"
-
-
-def shard_rng(
-    seed: Optional[int], shard: int, window: int
-) -> random.Random:
-    """A deterministic RNG stream for one (shard, window) pair.
-
-    The extension point for kernels that consume randomness: deriving the
-    stream from ``(seed, shard id, window index)`` makes a worker's draws
-    a pure function of its own schedule, independent of how the other
-    shards interleave.  The currently eligible kernels are ``rng_free``
-    and never draw, so this is documented API for future kernels rather
-    than a hot path.
-    """
-    base = 0 if seed is None else seed
-    return random.Random((base * 1_000_003 + shard) * 1_000_003 + window)
 
 
 def default_shard_count(node_count: int) -> int:
@@ -168,10 +151,8 @@ def try_run_sharded(simulator, kernel, until, max_events) -> Optional[float]:
         return _decline(simulator, "inside a daemonic process")
     if until is not None:
         return _decline(simulator, "bounded run (until set)")
-    if not kernel.rng_free or kernel.shard_fanout != "exclude_sender":
-        return _decline(
-            simulator, "kernel not rng-free or unsupported fan-out shape"
-        )
+    if not kernel.rng_free:
+        return _decline(simulator, "kernel not rng-free")
     delay = simulator.latency.constant_delay()
     if delay is None:
         return _decline(simulator, "non-constant delay")
@@ -179,8 +160,6 @@ def try_run_sharded(simulator, kernel, until, max_events) -> Optional[float]:
         return _decline(simulator, "loss or jitter enabled")
     if simulator.store._first_hooks:
         return _decline(simulator, "pending first-observation hooks")
-    if simulator._blocks is not None and len(simulator._blocks):
-        return _decline(simulator, "pending delivery blocks")
     node_count = simulator.graph.number_of_nodes()
     shards = simulator._shards
     if shards is None:
@@ -204,6 +183,8 @@ def try_run_sharded(simulator, kernel, until, max_events) -> Optional[float]:
             if item.cancelled:
                 continue
             return _decline(simulator, "timer in queue")
+        if item.__class__ is DeliveryBlock:
+            return _decline(simulator, "pending delivery blocks")
         if item.__class__ is not tuple or item[3] or item[2].kind != kind:
             return _decline(
                 simulator, "foreign queue entry (direct or foreign kind)"
@@ -325,7 +306,6 @@ def _run_windows(
         "shard_of": shard_of,
         "node_sizes": node_sizes,
         "size_const": size_const,
-        "has_churn": kernel._has_churn,
         "online": kernel._online,
         "edge_ok": kernel._edge_ok,
         "priors": prior_arrays,
@@ -572,7 +552,6 @@ def _worker_main(conn, me, static):
         shard_of = static["shard_of"]
         node_sizes = static["node_sizes"]
         size_const = static["size_const"]
-        has_churn = static["has_churn"]
         online = static["online"]
         edge_ok = static["edge_ok"]
         delay = static["delay"]
@@ -651,35 +630,13 @@ def _worker_main(conn, me, static):
                 if not len(fresh):
                     continue
 
-                # The exclude_sender fan-out, exactly as the batched
-                # kernel's CSR ramp: every neighbour of each fresh node
-                # except the delivering sender, churn-masked.
-                starts = indptr[fresh]
-                counts = indptr[fresh + 1] - starts
-                total = int(counts.sum())
-                if total == 0:
-                    continue
-                offsets = np.arange(total) - np.repeat(
-                    np.cumsum(counts) - counts, counts
+                # The flood kernel's own fan-out, over the shared CSR.
+                em_targets, em_senders, kept_counts = exclude_sender_fan_out(
+                    indptr, indices, fresh, excludes, online, edge_ok
                 )
-                flat = np.repeat(starts, counts) + offsets
-                em_targets = indices[flat]
-                em_senders = np.repeat(fresh, counts).astype(np.int32)
-                keep = em_targets != np.repeat(excludes, counts)
-                if has_churn:
-                    keep &= online[em_targets]
-                    keep &= edge_ok[flat]
-                block_of = np.repeat(
-                    np.arange(len(fresh)), counts
-                )[keep]
-                kept_counts = np.bincount(
-                    block_of, minlength=len(fresh)
-                ).astype(np.int64)
                 trigger_chunks.append(triggers)
                 count_chunks.append(kept_counts)
-                fan_outs.append(
-                    (pidx, kept_counts, em_targets[keep], em_senders[keep])
-                )
+                fan_outs.append((pidx, kept_counts, em_targets, em_senders))
 
             counters["deliveries_processed"] += processed
             target_time = time + delay
@@ -700,13 +657,11 @@ def _worker_main(conn, me, static):
             for pidx, kept_counts, em_targets, em_senders in fan_outs:
                 block_bases = bases[offset:offset + len(kept_counts)]
                 offset += len(kept_counts)
-                total = len(em_targets)
-                if total == 0:
+                if not len(em_targets):
                     continue
-                ramp = np.arange(total) - np.repeat(
-                    np.cumsum(kept_counts) - kept_counts, kept_counts
-                )
-                delivery_ranks = np.repeat(block_bases, kept_counts) + ramp
+                delivery_ranks = np.repeat(
+                    block_bases, kept_counts
+                ) + block_ramp(kept_counts)
                 owners = shard_of[em_targets]
                 for dest in range(shards):
                     mask = owners == dest

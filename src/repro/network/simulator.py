@@ -37,10 +37,10 @@ same observable behaviour but, when every registered node is of one type
 that declares a ``COHORT_KERNEL`` (flood and gossip do), processes all
 deliveries sharing a timestamp as numpy struct-of-arrays cohorts — see
 :mod:`repro.network.batched`.  Runs without an eligible kernel (mixed node
-types, other protocols) silently use the event loop, so ``engine="batched"``
-is always safe to request.  Seed-for-seed the two engines produce identical
-observation logs and drop counters; the golden and property tests assert
-this for every preset.
+types, other protocols) use the event loop and record why in
+:attr:`Simulator.fallback_reason`, so ``engine="batched"`` is always safe to
+request.  Seed-for-seed the engines produce identical observation logs and
+drop counters; the golden and property tests assert this for every preset.
 """
 
 from __future__ import annotations
@@ -198,21 +198,13 @@ class Simulator:
         self._push_item = self._queue.push_item
         # Batched engine state.  The generation counter is bumped by every
         # topology-cache invalidation so cohort kernels know when to rebuild
-        # their CSR view and churn masks; the block buffer holds kernel
-        # fan-outs as struct-of-arrays instead of per-message heap tuples.
+        # their CSR view and churn masks.
         self._topology_generation = 0
         self._kernel = None
         self._kernel_resolved = False
         if shards is not None and shards < 1:
             raise ValueError("shards must be at least 1 when given")
         self._shards = shards
-        if engine in ("batched", "sharded"):
-            from repro.network.batched import BlockBuffer
-
-            self._queue.enable_sequence_reservation()
-            self._blocks = BlockBuffer()
-        else:
-            self._blocks = None
 
     @property
     def engine(self) -> str:
@@ -258,7 +250,13 @@ class Simulator:
         node.attach(self)
         self._nodes[node.node_id] = node
         # The cohort kernel (if any) is resolved from the full node
-        # population; adding a node of another type disqualifies it.
+        # population; adding a node of another type disqualifies it, and
+        # the event loop that may take over cannot read its in-flight
+        # delivery blocks.
+        if self._kernel is not None:
+            from repro.network.batched import unpack_block_entries
+
+            unpack_block_entries(self)
         self._kernel = None
         self._kernel_resolved = False
         return node
@@ -533,18 +531,6 @@ class Simulator:
                 self._kernel = kernel_cls(self)
         return self._kernel
 
-    def _next_pending_time(self) -> Optional[float]:
-        """Earliest pending time across the heap and the block buffer."""
-        queue_time = self._queue.peek_time()
-        block_time = (
-            self._blocks.peek_time() if self._blocks is not None else None
-        )
-        if queue_time is None:
-            return block_time
-        if block_time is None:
-            return queue_time
-        return min(queue_time, block_time)
-
     def _note_fallback(self, reason: str) -> None:
         """Record why a run left its requested engine (see telemetry)."""
         self._fallback_reason = reason
@@ -732,13 +718,10 @@ class Simulator:
         Cancelled events are excluded immediately, so a ``pending_events ==
         0`` check means the simulation is genuinely idle — timers that were
         cancelled no longer keep runner loops spinning.  On the batched
-        engine this includes deliveries buffered in cohort blocks, which
-        live outside the heap; both engines therefore agree on idleness.
+        engine each queued delivery block counts as the deliveries it
+        holds, so every engine agrees on idleness.
         """
-        pending = len(self._queue)
-        if self._blocks is not None:
-            pending += len(self._blocks)
-        return pending
+        return len(self._queue)
 
     # ------------------------------------------------------------------
     # Message-loss accounting

@@ -8,7 +8,9 @@ engine's unit surface:
   registered engines, PR-6 CLI convention);
 * the golden observation-log digests of the fixed fast-path scenarios,
   reproduced bit-for-bit under ``engine="batched"``;
-* ``pending_events`` counting buffered cohort blocks;
+* ``pending_events`` counting queued cohort blocks;
+* in-flight cohort blocks surviving a node-population change that drops
+  the cohort kernel;
 * ``run(max_events=...)`` cohort-granularity stop and the descriptive
   ``run_until_idle`` error naming the engine in use;
 * ``on_first`` hooks firing identically on both engines (the hook path
@@ -22,6 +24,7 @@ import pytest
 from repro.broadcast.flood import FloodNode
 from repro.network.conditions import NetworkConditions
 from repro.network.latency import ConstantLatency
+from repro.network.node import Node
 from repro.network.simulator import ENGINES, Simulator
 from repro.network.topology import random_regular_overlay
 
@@ -119,8 +122,9 @@ def _batched_flood(size=60, degree=4, seed=2):
 
 class TestPendingEventsAndLimits:
     def test_pending_events_counts_cohort_blocks(self):
-        # After one hop the next wave lives in cohort blocks, not the heap;
-        # pending_events must still see it, and run_until_idle must drain it.
+        # After one hop the next wave lives in cohort blocks, each one heap
+        # entry; pending_events must count every delivery they hold, and
+        # run_until_idle must drain them.
         sim = _batched_flood()
         sim.node(0).originate("tx")
         sim.run(until=1.5)
@@ -163,6 +167,36 @@ class TestPendingEventsAndLimits:
             # exactly there on both engines.
             assert sim.run(until=50.0) == 50.0
             assert sim.now == 50.0
+
+
+class _Idle(Node):
+    def on_message(self, sender, message):
+        pass
+
+
+class TestPopulationChangeInFlight:
+    def test_node_of_another_type_added_while_blocks_in_flight(self):
+        # Adding a non-flood node drops the cohort kernel mid-broadcast;
+        # the event loop that takes over must still deliver the wave the
+        # kernel queued as blocks, exactly as the event engine does.
+        digests = {}
+        for engine in ("event", "batched"):
+            overlay = random_regular_overlay(60, degree=4, seed=2)
+            overlay.add_node(60)  # isolated until a node is registered
+            sim = Simulator(
+                overlay, latency=ConstantLatency(1.0), seed=0, engine=engine
+            )
+            for node_id in range(60):
+                sim.add_node(FloodNode(node_id))
+            sim.node(0).originate("tx")
+            sim.run(until=2.5)
+            assert sim.pending_events > 0
+            sim.add_node(_Idle(60))
+            sim.run_until_idle()
+            assert sim.metrics.reach("tx") == 60
+            assert sim.engine_effective == "event"
+            digests[engine] = observation_digest(sim)
+        assert digests["batched"] == digests["event"]
 
 
 class TestFirstHooks:

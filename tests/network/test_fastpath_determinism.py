@@ -140,22 +140,22 @@ class TestTupleHeapMatchesReferenceQueue:
                 fast_handles[victim][0].cancel()
                 reference_handles[victim][0].cancel()
             else:
-                fast_event = fast.pop()
+                fast_entry = fast.pop_entry()
                 reference_event = reference.pop()
-                if fast_event is None:
+                if fast_entry is None:
                     assert reference_event is None
                     continue
-                assert (fast_event.time, fast_event.sequence) == (
+                assert fast_entry[:2] == (
                     reference_event.time,
                     reference_event.sequence,
                 )
         # Drain: remaining live events must come out in the same order.
         while True:
-            fast_event, reference_event = fast.pop(), reference.pop()
-            if fast_event is None:
+            fast_entry, reference_event = fast.pop_entry(), reference.pop()
+            if fast_entry is None:
                 assert reference_event is None
                 break
-            assert (fast_event.time, fast_event.sequence) == (
+            assert fast_entry[:2] == (
                 reference_event.time,
                 reference_event.sequence,
             )
@@ -172,7 +172,7 @@ class TestTupleHeapMatchesReferenceQueue:
         queue.push_item(1.0, ("delivery", "tied-after-timer"))
         popped = []
         while True:
-            entry = queue.pop_item()
+            entry = queue.pop_item_until(None)
             if entry is None:
                 break
             popped.append(entry)
@@ -182,9 +182,8 @@ class TestTupleHeapMatchesReferenceQueue:
 
 
 class TestSeedForSeedRepeatability:
-    # Message.uid is a process-global counter (every message instance is
-    # unique by design), so runs are compared on the uid-free projection —
-    # the same one the golden digests use.
+    # Runs are compared on the observation-log projection the golden
+    # digests use.
 
     def test_flood_runs_identical(self, broadcast_once):
         overlay = random_regular_overlay(150, degree=6, seed=2)

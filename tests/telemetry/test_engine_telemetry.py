@@ -122,6 +122,22 @@ class TestCounters:
         sim.run_until_idle()
         assert tracking.gauges["queue_depth_peak"] >= 1
 
+    def test_queue_depth_counts_batched_delivery_blocks(self):
+        # A delivery block holds many deliveries; the depth peak must
+        # count each of them, so it can never trail the live-event peak.
+        recorder = TelemetryRecorder(queue_depth=True)
+        overlay = random_regular_overlay(300, degree=6, seed=3)
+        sim = Simulator(
+            overlay, latency=ConstantLatency(1.0), seed=0,
+            engine="batched", telemetry=recorder,
+        )
+        sim.populate(FloodNode)
+        sim.node(0).originate("tx")
+        sim.run_until_idle()
+        assert recorder.counters["cohorts"] > 0
+        gauges = recorder.gauges
+        assert gauges["queue_depth_peak"] >= gauges["live_events_peak"]
+
 
 class TestSpans:
     def test_span_tree_well_formed_across_stop_and_resume(self):
